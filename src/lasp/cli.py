@@ -20,18 +20,16 @@ import numpy as np
 from . import __version__
 from .data import (SyntheticDatasetSpec, load_dataset, load_manifest,
                    make_synthetic_dataset, _class_word_pool)
-from .encoders import EncoderConfig, TextEncoder
+from .encoders import EncoderConfig
 from .errors import (ConfigError, DataError, DivergenceError, InputError,
                      ProtocolError, TemplateError)
-from .evaluator import (EvalReport, centroid_distance_matrix,
+from .evaluator import (MODES, EvalReport, centroid_distance_matrix,
                         evaluate_generalized, evaluate_standard)
-from .model import PromptedClip
-from .prompts import (ClassVocabulary, generate_random_templates, init_prompts,
-                      init_prompts_from_words, load_template_bank,
-                      split_templates)
-from .tokenizer import Tokenizer
-from .trainer import (TrainConfig, Trainer, load_checkpoint, sample_few_shot,
-                      save_checkpoint)
+from .model import PromptedClip, build_model
+from .prompts import (TemplateBank, generate_random_templates,
+                      load_template_bank, split_templates)
+from .trainer import (TrainConfig, load_checkpoint, save_checkpoint,
+                      train_few_shot)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,6 +38,7 @@ EXIT_DIVERGENCE = 4
 
 COMMANDS = ("train", "eval", "ablate-templates", "ablate-loss",
             "ablate-components", "distract", "report")
+PROMPT_INITS = ("words", "gauss")
 
 DEFAULTS = {
     # dataset
@@ -171,6 +170,12 @@ def write_matrix(run_dir: str, name: str, matrix: np.ndarray):
     np.savetxt(os.path.join(run_dir, "matrices", name), matrix, fmt="%.8f")
 
 
+def finish(run_dir: str, table: str, kv_lines: list[str]) -> int:
+    write_report(run_dir, table, kv_lines)
+    print(table)
+    return EXIT_OK
+
+
 # -- shared builders -----------------------------------------------------------
 
 
@@ -178,6 +183,10 @@ class RunContext:
     """Dataset, class names and encoder config resolved from one config."""
 
     def __init__(self, cfg: dict[str, str]):
+        for key, allowed in (("mode", MODES), ("prompt_init", PROMPT_INITS)):
+            if cfg[key] not in allowed:
+                raise ConfigError(f"config key {key}={cfg[key]!r} is not one of "
+                                  f"{', '.join(allowed)}")
         self.cfg = cfg
         self.enc_cfg = EncoderConfig()
         if cfg["manifest"]:
@@ -212,29 +221,20 @@ class RunContext:
             return tuple(self.new_names)
         return tuple(n.strip() for n in spec.split(",") if n.strip())
 
-    def build_model(self, seed: int, templates: str | None = None,
-                    groups: int | None = None) -> PromptedClip:
+    def build_model(self, seed: int, groups: int | None = None,
+                    bank: TemplateBank | None = None) -> PromptedClip:
+        """Untrained model over ``bank``, or over the configured templates
+        split into ``groups`` (default: the configured group count)."""
         cfg = self.cfg
-        groups = groups if groups is not None else _num(cfg, "groups", int)
-        source = templates if templates is not None else cfg["templates"]
-        bank = load_template_bank(source)
-        if groups > 1:
-            bank = split_templates(bank, groups, 0)
-        m = _num(cfg, "m_prompts", int)
-        enc = self.enc_cfg
-        if cfg["prompt_init"] == "words":
-            tok = Tokenizer(max_len=enc.max_len)
-            words = tok.words_of(cfg["prompt_words"])[:m]
-            if not words:
-                raise ConfigError("prompt_words yielded no tokens")
-            prompts = init_prompts_from_words(TextEncoder(enc), tok, words,
-                                              groups, enc.d, seed,
-                                              _num(cfg, "jitter", float))
-        elif cfg["prompt_init"] == "gauss":
-            prompts = init_prompts(groups, m, enc.d_tok, enc.d, seed)
-        else:
-            raise ConfigError(f"unknown prompt_init {cfg['prompt_init']!r}")
-        return PromptedClip(enc, prompts, bank)
+        if bank is None:
+            groups = groups if groups is not None else _num(cfg, "groups", int)
+            bank = load_template_bank(cfg["templates"])
+            if groups > 1:
+                bank = split_templates(bank, groups, 0)
+        words = cfg["prompt_words"] if cfg["prompt_init"] == "words" else None
+        return build_model(self.enc_cfg, bank, seed, words=words,
+                           m=_num(cfg, "m_prompts", int),
+                           jitter=_num(cfg, "jitter", float))
 
     def train_config(self, seed: int, **over) -> TrainConfig:
         cfg = self.cfg
@@ -256,19 +256,27 @@ class RunContext:
         kw.update(over)
         return TrainConfig(**kw)
 
-    def train(self, seed: int, model: PromptedClip | None = None, **over):
+    def train(self, seed: int, bank: TemplateBank | None = None, **over):
+        if bank is not None:
+            over["groups"] = bank.groups
         tcfg = self.train_config(seed, **over)
-        model = model or self.build_model(seed, groups=tcfg.groups)
-        trainer = Trainer(model, ClassVocabulary(list(self.base_names)), tcfg)
-        pool = self.splits["base-train"]
-        train_set = sample_few_shot(pool.images, pool.labels, tcfg.shots, seed)
-        log = trainer.fit(train_set)
+        model = self.build_model(seed, tcfg.groups, bank)
+        log = train_few_shot(model, self.base_names, self.splits["base-train"],
+                             tcfg)
         return model, tcfg, log
 
     def evaluate(self, model: PromptedClip, mode: str = "learned") -> EvalReport:
         return evaluate_standard(model, self.splits["base-test"],
                                  self.splits["new-test"], self.base_names,
                                  self.new_names, mode=mode)
+
+    def report(self, model: PromptedClip, run_dir: str,
+               mode: str = "learned") -> int:
+        """Standard evaluation plus the centroid matrix, written and printed."""
+        rep = self.evaluate(model, mode)
+        dist, rep.mean_distance = centroid_distance_matrix(model, self.base_names)
+        write_matrix(run_dir, "centroid_distance.txt", dist)
+        return finish(run_dir, rep.table(), rep.kv_lines())
 
 
 # -- commands ------------------------------------------------------------------
@@ -282,13 +290,7 @@ def cmd_train(cfg: dict[str, str], run_dir: str) -> int:
         fh.write("\n".join(log.lines()) + ("\n" if log.rows else ""))
     save_checkpoint(os.path.join(run_dir, "checkpoint.bin"), model, tcfg,
                     steps=len(log.rows))
-    rep = ctx.evaluate(model)
-    dist, mean_d = centroid_distance_matrix(model, ctx.base_names)
-    rep.mean_distance = mean_d
-    write_matrix(run_dir, "centroid_distance.txt", dist)
-    write_report(run_dir, rep.table(), rep.kv_lines())
-    print(rep.table())
-    return EXIT_OK
+    return ctx.report(model, run_dir)
 
 
 def cmd_eval(cfg: dict[str, str], run_dir: str) -> int:
@@ -299,13 +301,7 @@ def cmd_eval(cfg: dict[str, str], run_dir: str) -> int:
         if not os.path.exists(cfg["checkpoint"]):
             raise DataError(f"checkpoint not found: {cfg['checkpoint']}")
         load_checkpoint(cfg["checkpoint"], model)
-    rep = ctx.evaluate(model, mode=cfg["mode"])
-    dist, mean_d = centroid_distance_matrix(model, ctx.base_names)
-    rep.mean_distance = mean_d
-    write_matrix(run_dir, "centroid_distance.txt", dist)
-    write_report(run_dir, rep.table(), rep.kv_lines())
-    print(rep.table())
-    return EXIT_OK
+    return ctx.report(model, run_dir, cfg["mode"])
 
 
 def _grid_report(rows: list[tuple[str, EvalReport]]) -> tuple[str, list[str]]:
@@ -325,38 +321,18 @@ def cmd_ablate_templates(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
     seed = _num(cfg, "seed", int)
     groups = _num(cfg, "groups", int)
+    counts = (1, 6, 34, 100)
+    banks = ([(f"hand-{n}", load_template_bank(str(n))) for n in counts]
+             + [(f"random-{n}", generate_random_templates(n, 3, 7, seed))
+                for n in counts])
     rows = []
-    for count in (1, 6, 34, 100):
-        bank = load_template_bank(str(count))
+    for label, bank in banks:
+        # a bank smaller than the group count trains a single group
         if len(bank) >= groups > 1:
             bank = split_templates(bank, groups, 0)
-        g = bank.groups
-        model = PromptedClip(ctx.enc_cfg, _prompts_for(ctx, cfg, g, seed), bank)
-        model, _, _ = ctx.train(seed, model=model, groups=g)
-        rows.append((f"hand-{count}", ctx.evaluate(model)))
-    for count in (1, 6, 34, 100):
-        bank = generate_random_templates(count, 3, 7, seed)
-        if len(bank) >= groups > 1:
-            bank = split_templates(bank, groups, 0)
-        g = bank.groups
-        model = PromptedClip(ctx.enc_cfg, _prompts_for(ctx, cfg, g, seed), bank)
-        model, _, _ = ctx.train(seed, model=model, groups=g)
-        rows.append((f"random-{count}", ctx.evaluate(model)))
-    table, kv = _grid_report(rows)
-    write_report(run_dir, table, kv)
-    print(table)
-    return EXIT_OK
-
-
-def _prompts_for(ctx: RunContext, cfg: dict[str, str], groups: int, seed: int):
-    enc = ctx.enc_cfg
-    m = _num(cfg, "m_prompts", int)
-    if cfg["prompt_init"] == "words":
-        tok = Tokenizer(max_len=enc.max_len)
-        words = tok.words_of(cfg["prompt_words"])[:m]
-        return init_prompts_from_words(TextEncoder(enc), tok, words, groups,
-                                       enc.d, seed, _num(cfg, "jitter", float))
-    return init_prompts(groups, m, enc.d_tok, enc.d, seed)
+        model, _, _ = ctx.train(seed, bank=bank)
+        rows.append((label, ctx.evaluate(model)))
+    return finish(run_dir, *_grid_report(rows))
 
 
 def cmd_ablate_loss(cfg: dict[str, str], run_dir: str) -> int:
@@ -366,10 +342,7 @@ def cmd_ablate_loss(cfg: dict[str, str], run_dir: str) -> int:
     for kind in ("ce", "l1", "l2"):
         model, _, _ = ctx.train(seed, loss_kind=kind)
         rows.append((kind, ctx.evaluate(model)))
-    table, kv = _grid_report(rows)
-    write_report(run_dir, table, kv)
-    print(table)
-    return EXIT_OK
+    return finish(run_dir, *_grid_report(rows))
 
 
 def cmd_ablate_components(cfg: dict[str, str], run_dir: str) -> int:
@@ -395,10 +368,7 @@ def cmd_ablate_components(cfg: dict[str, str], run_dir: str) -> int:
     for name, over in ladder:
         model, _, _ = ctx.train(seed, **over)
         rows.append((name, ctx.evaluate(model)))
-    table, kv = _grid_report(rows)
-    write_report(run_dir, table, kv)
-    print(table)
-    return EXIT_OK
+    return finish(run_dir, *_grid_report(rows))
 
 
 def cmd_distract(cfg: dict[str, str], run_dir: str) -> int:
@@ -432,9 +402,7 @@ def cmd_distract(cfg: dict[str, str], run_dir: str) -> int:
               f"\nrecovered by virtual classes: {recovered:.2f}")
     kv += [f"distractor_drop, all, {drop:.4f}",
            f"distractor_recovered, all, {recovered:.4f}"]
-    write_report(run_dir, table, kv)
-    print(table)
-    return EXIT_OK
+    return finish(run_dir, table, kv)
 
 
 def cmd_report(cfg: dict[str, str], run_dir: str) -> int:

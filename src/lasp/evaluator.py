@@ -6,8 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, softmax
+from .autodiff import no_grad
 from .errors import InputError, ProtocolError
+from .losses import grouped_cosine_scores, template_averaged_probs
 from .model import PromptedClip
 from .trainer import FewShotDataset
 
@@ -34,16 +35,9 @@ def _score_matrix(model: PromptedClip, images: np.ndarray,
         fb = feats if feats.data.ndim == 2 else feats.reshape(1, -1)
         if mode == "learned":
             rows = model.class_rows(class_names, with_bias=True)
-            from .losses import grouped_cosine_scores
             return grouped_cosine_scores(rows, fb).data
-        anchors = model.anchors(class_names)               # (L, C, d)
-        from .losses import _normalize_const
-        an = _normalize_const(anchors)
-        fn = fb.data / np.maximum(
-            np.linalg.norm(fb.data, axis=-1, keepdims=True), 1e-12)
-        cos = np.einsum("bd,lcd->lbc", fn, an) / model.tau
-        probs = softmax(Tensor(cos), axis=-1).data.mean(axis=0)
-        return probs
+        return template_averaged_probs(model.anchors(class_names), fb,
+                                       model.tau).data
 
 
 def classify(model: PromptedClip, image: np.ndarray,
@@ -79,7 +73,6 @@ class EvalReport:
     new_acc: float
     h: float
     per_class: dict[str, float] = field(default_factory=dict)
-    distance_matrix: np.ndarray | None = None
     mean_distance: float | None = None
     tag: str = ""
 

@@ -84,11 +84,14 @@ def text_class_distribution(anchors_s: np.ndarray, t_r: Tensor, tau: float) -> T
     return probs.mean(axis=0)
 
 
-def _tt_probs(anchors: np.ndarray, rows: Tensor, tau: float) -> Tensor:
-    """(C_base, C_all) matrix of template-averaged classification probs."""
-    an = _normalize_const(anchors)                        # (L, C_all, d)
-    rows_n = normalize_rows(rows)                         # (C_base, d)
-    cos = rows_n @ Tensor(an).transpose(0, 2, 1)          # (L, C_base, C_all)
+def template_averaged_probs(anchors: np.ndarray, x: Tensor, tau: float) -> Tensor:
+    """(N, C) class probabilities of each row of ``x``, averaged over templates.
+
+    ``anchors`` is (L, C, d) and ``x`` is (N, d): learnable class rows in
+    the text-to-text loss, image features in zero-shot inference.
+    """
+    an = _normalize_const(anchors)                        # (L, C, d)
+    cos = normalize_rows(x) @ Tensor(an).transpose(0, 2, 1)   # (L, N, C)
     return softmax(cos * (1.0 / tau), axis=-1).mean(axis=0)
 
 
@@ -107,7 +110,7 @@ def tt_loss(anchors: np.ndarray, rows: Tensor, tau: float,
     if anchors.shape[1] < c_base:
         raise InputError("anchor class set smaller than learnable class set")
     if kind == "ce":
-        probs = _tt_probs(anchors, rows, tau)
+        probs = template_averaged_probs(anchors, rows, tau)
         eye = np.eye(c_base, anchors.shape[1])
         return -((probs.log()) * Tensor(eye)).sum() * (1.0 / c_base)
     # ablation losses regress each row onto its class-mean anchor
@@ -149,9 +152,3 @@ def apply_bias_correction(rows: Tensor, bias: Tensor) -> Tensor:
     if rows.shape[-1] != bias.shape[-1]:
         raise ValueError(f"bias length {bias.shape} does not match rows {rows.shape}")
     return rows + bias
-
-
-def grouped_inference_scores(rows: Tensor, f: Tensor, tau: float):
-    """Group-averaged cosine scores and the matching softmax distribution."""
-    scores = grouped_cosine_scores(rows, f)
-    return scores, softmax(scores * (1.0 / tau), axis=-1)

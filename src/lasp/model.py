@@ -6,9 +6,10 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad, stack
 from .encoders import EncoderConfig, TextEncoder, VisionEncoder
+from .errors import ConfigError
 from .losses import apply_bias_correction
 from .prompts import (PromptSet, TemplateBank, assemble_learnable_prompt,
-                      render_template)
+                      init_prompts, init_prompts_from_words, render_template)
 from .tokenizer import Tokenizer
 
 
@@ -16,9 +17,9 @@ class PromptedClip:
     """Synthetic-pretrained dual encoder plus a learnable prompt set."""
 
     def __init__(self, enc_cfg: EncoderConfig, prompt_set: PromptSet,
-                 bank: TemplateBank, tokenizer: Tokenizer | None = None):
+                 bank: TemplateBank):
         self.cfg = enc_cfg
-        self.tokenizer = tokenizer or Tokenizer(max_len=enc_cfg.max_len)
+        self.tokenizer = Tokenizer(max_len=enc_cfg.max_len)
         self.text_encoder = TextEncoder(enc_cfg)
         self.vision_encoder = VisionEncoder(enc_cfg)
         self.prompt_set = prompt_set
@@ -77,9 +78,27 @@ class PromptedClip:
 
     # -- vision side ----------------------------------------------------------
 
-    def encode_images(self, images: np.ndarray, requires_grad: bool = False) -> Tensor:
-        batch = Tensor(np.asarray(images, dtype=np.float64),
-                       requires_grad=requires_grad)
+    def encode_images(self, images: np.ndarray) -> Tensor:
+        batch = Tensor(np.asarray(images, dtype=np.float64))
         if batch.data.ndim == 3:
             return self.vision_encoder.encode(batch)
         return self.vision_encoder.encode_batch(batch)
+
+
+def build_model(enc_cfg: EncoderConfig, bank: TemplateBank, seed: int, *,
+                words: str | None, m: int, jitter: float = 0.3) -> PromptedClip:
+    """Fresh model with one prompt group per template group of ``bank``.
+
+    ``words`` is a phrase whose first ``m`` words warm-start every group
+    (plus ``jitter`` Gaussian noise); ``None`` draws small Gaussian vectors.
+    """
+    if words is None:
+        prompts = init_prompts(bank.groups, m, enc_cfg.d_tok, enc_cfg.d, seed)
+    else:
+        tok = Tokenizer(max_len=enc_cfg.max_len)
+        picked = tok.words_of(words)[:m]
+        if not picked:
+            raise ConfigError(f"prompt words {words!r} yielded no tokens")
+        prompts = init_prompts_from_words(TextEncoder(enc_cfg), tok, picked,
+                                          bank.groups, enc_cfg.d, seed, jitter)
+    return PromptedClip(enc_cfg, prompts, bank)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DataError
+
 MAGIC = "LASPW1"
 
 
@@ -30,26 +32,32 @@ def save_tensors(path, named: dict[str, np.ndarray], meta: dict[str, str] | None
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Read a file written by ``save_tensors``; ``DataError`` if malformed."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    head_end = raw.index(b"\n\n")
-    lines = raw[:head_end].decode("utf-8").split("\n")
-    if lines[0] != MAGIC:
-        raise ValueError(f"{path}: not a weight file (bad magic {lines[0]!r})")
+    if not raw.startswith(MAGIC.encode() + b"\n"):
+        raise DataError(f"{path}: not a weight file (bad magic {raw[:16]!r})")
+    head_end = raw.find(b"\n\n")
+    if head_end < 0:
+        raise DataError(f"{path}: weight file header has no terminator")
     meta: dict[str, str] = {}
     shapes: list[tuple[str, tuple[int, ...]]] = []
-    for line in lines[1:]:
+    for line in raw[:head_end].decode("utf-8", "replace").split("\n")[1:]:
         if line.startswith("#"):
             k, _, v = line[1:].partition("=")
             meta[k] = v
             continue
         parts = line.split()
-        name, ndim = parts[0], int(parts[1])
-        shapes.append((name, tuple(int(d) for d in parts[2 : 2 + ndim])))
+        if (len(parts) < 2 or not all(p.isdigit() for p in parts[1:])
+                or len(parts) != 2 + int(parts[1])):
+            raise DataError(f"{path}: bad weight file header line {line!r}")
+        shapes.append((parts[0], tuple(int(d) for d in parts[2:])))
     out: dict[str, np.ndarray] = {}
     offset = head_end + 2
     for name, shape in shapes:
         n = int(np.prod(shape)) if shape else 1
+        if offset + n * 8 > len(raw):
+            raise DataError(f"{path}: weight file truncated in tensor {name}")
         arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape)
         out[name] = arr.astype(np.float64)
         offset += n * 8

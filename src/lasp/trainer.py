@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class TrainConfig:
     loss_kind: str = "ce"
     virtual_classes: tuple[str, ...] = ()
     momentum: float = 0.0
-    flip_augment: bool = False
     clip_norm: float = 10.0
     divergence_limit: float = 1e6
 
@@ -199,37 +198,51 @@ class Trainer:
             order = rng.permutation(n)
             for b in range(steps_per_epoch):
                 sel = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                images = train_set.images[sel]
-                if cfg.flip_augment:
-                    images = images.copy()
-                    images[1::2] = images[1::2, :, ::-1, :]
-                labels = train_set.labels[sel]
                 lr = learning_rate_at(step, total_steps, warmup_steps, cfg.lr)
-                res = self.train_step(images, labels, lr, step_index=step)
+                res = self.train_step(train_set.images[sel],
+                                      train_set.labels[sel], lr, step_index=step)
                 log.append(epoch, step, lr, res)
                 step += 1
         return log
+
+
+def train_few_shot(model: PromptedClip, base_names: list[str],
+                   pool: FewShotDataset, config: TrainConfig) -> TrainLog:
+    """Train ``model`` in place on ``config.shots`` images per base class.
+
+    The shots are drawn from ``pool`` with ``config.seed``, the same seed
+    that orders the batches.
+    """
+    trainer = Trainer(model, ClassVocabulary(list(base_names)), config)
+    return trainer.fit(sample_few_shot(pool.images, pool.labels, config.shots,
+                                       config.seed))
 
 
 # -- checkpoints ---------------------------------------------------------------
 
 
 def save_checkpoint(path, model: PromptedClip, config: TrainConfig, steps: int):
-    named = {"prompts.vectors": model.prompt_set.vectors.data,
-             "prompts.bias": model.prompt_set.bias.data}
-    for k, p in trainable_parameters(model.prompt_set, model.vision_encoder,
-                                     True).items():
-        named[k] = p.data
+    named = {k: p.data for k, p in trainable_parameters(
+        model.prompt_set, model.vision_encoder, True).items()}
     meta = {"steps": str(steps), "seed": str(config.seed),
             "config": repr(config)}
     save_tensors(path, named, meta=meta)
 
 
 def load_checkpoint(path, model: PromptedClip) -> dict[str, str]:
+    """Copy every trainable tensor from ``path`` into ``model``.
+
+    Raises ``DataError`` before touching the model if a tensor is missing
+    or its shape differs from the model's (e.g. another group count).
+    """
     named, meta = load_tensors(path)
     targets = trainable_parameters(model.prompt_set, model.vision_encoder, True)
     for k, p in targets.items():
-        if k in named:
-            p.data[...] = named[k]
+        found = named[k].shape if k in named else "nothing"
+        if found != p.shape:
+            raise DataError(f"checkpoint {path}: tensor {k} should have shape "
+                            f"{p.shape}, found {found}")
+    for k, p in targets.items():
+        p.data[...] = named[k]
     model._anchor_cache.clear()
     return meta

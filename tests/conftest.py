@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from lasp.encoders import EncoderConfig, TextEncoder
-from lasp.model import PromptedClip
-from lasp.prompts import (ClassVocabulary, init_prompts,
-                          init_prompts_from_words, load_template_bank,
-                          split_templates)
-from lasp.tokenizer import Tokenizer
-from lasp.trainer import TrainConfig, Trainer, sample_few_shot
+from lasp.encoders import EncoderConfig
+from lasp.model import PromptedClip, build_model
+from lasp.prompts import load_template_bank, split_templates
+from lasp.trainer import TrainConfig, train_few_shot
 
 
 @pytest.fixture
@@ -18,9 +15,8 @@ def small_enc():
 
 @pytest.fixture
 def small_model(small_enc):
-    prompts = init_prompts(2, 2, small_enc.d_tok, small_enc.d, 0)
     bank = split_templates(load_template_bank("6"), 2, 0)
-    return PromptedClip(small_enc, prompts, bank)
+    return build_model(small_enc, bank, 0, words=None, m=2)
 
 
 class AcceptanceBench:
@@ -49,7 +45,6 @@ class AcceptanceBench:
         self.distractors = picked[20:30]
         self.dataset_time = time.monotonic() - t0
         self._models = {}
-        self.train_time = {}
 
     def configs(self):
         return {
@@ -63,26 +58,16 @@ class AcceptanceBench:
         }
 
     def model(self, label: str, seed: int) -> PromptedClip:
-        import time
         key = (label, seed)
-        if key in self._models:
-            return self._models[key]
-        t0 = time.monotonic()
-        over = self.configs()[label]
-        tok = Tokenizer(max_len=self.enc.max_len)
-        prompts = init_prompts_from_words(TextEncoder(self.enc), tok,
-                                          ["a", "photo", "of", "a"], 3,
-                                          self.enc.d, seed, jitter=0.3)
-        model = PromptedClip(self.enc, prompts, self.bank)
-        cfg = TrainConfig(epochs=150, warmup_epochs=5, lr=0.02, seed=seed,
-                          **over)
-        trainer = Trainer(model, ClassVocabulary(list(self.base)), cfg)
-        pool = self.data.splits["base-train"]
-        train_set = sample_few_shot(pool.images, pool.labels, cfg.shots, seed)
-        trainer.fit(train_set)
-        self._models[key] = model
-        self.train_time[key] = time.monotonic() - t0
-        return model
+        if key not in self._models:
+            model = build_model(self.enc, self.bank, seed,
+                                words="a photo of a", m=4)
+            cfg = TrainConfig(epochs=150, warmup_epochs=5, lr=0.02, seed=seed,
+                              **self.configs()[label])
+            train_few_shot(model, self.base, self.data.splits["base-train"],
+                           cfg)
+            self._models[key] = model
+        return self._models[key]
 
     def mean_accs(self, label: str):
         from lasp.evaluator import evaluate_standard

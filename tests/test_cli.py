@@ -91,6 +91,41 @@ def test_eval_against_checkpoint(tmp_path):
     assert train_kv == eval_kv
 
 
+def test_eval_malformed_checkpoint_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"garbage")
+    code, _ = run(["eval"] + FAST + ["--set", f"checkpoint={bad}"], tmp_path)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not a weight file" in err
+
+
+def test_eval_checkpoint_with_other_groups_is_data_error(tmp_path, capsys):
+    code, train_out = run(["train", "--seed", "0"] + FAST
+                          + ["--set", "groups=1"], tmp_path, "t")
+    assert code == EXIT_OK
+    code, _ = run(["eval", "--seed", "0"] + FAST
+                  + ["--set", f"checkpoint={train_out/'checkpoint.bin'}"],
+                  tmp_path, "e")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "prompts.vectors" in err
+
+
+@pytest.mark.parametrize("command, key", [("eval", "mode"),
+                                          ("ablate-templates", "prompt_init")])
+def test_bad_choice_key_exits_2_before_fixture(tmp_path, capsys, monkeypatch,
+                                              command, key):
+    import lasp.cli
+    def no_fixture(*a, **k):
+        raise AssertionError("fixture built before config validation")
+    monkeypatch.setattr(lasp.cli, "make_synthetic_dataset", no_fixture)
+    code, _ = run([command, "--set", f"{key}=bogus"], tmp_path)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{key}='bogus'" in err
+
+
 def test_eval_zero_shot_mode(tmp_path):
     code, out = run(["eval", "--seed", "0"] + FAST + ["--set", "mode=zero-shot"],
                     tmp_path)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lasp.errors import DataError
 from lasp.serialization import load_tensors, save_tensors
 
 
@@ -30,4 +31,16 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTAWEIGHTFILE\n\nxxxx")
     with pytest.raises(ValueError):
+        load_tensors(path)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"LASPW1\nw 1 2\n", "no terminator"),
+    (b"LASPW1\nw 2 3\n\n" + bytes(48), "bad weight file header line"),
+    (b"LASPW1\nw 1 3\n\n" + bytes(16), "truncated in tensor w"),
+])
+def test_malformed_file_rejected(tmp_path, raw, message):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=message):
         load_tensors(path)

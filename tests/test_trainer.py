@@ -6,6 +6,7 @@ from lasp.errors import ConfigError, DataError, DivergenceError, InputError
 from lasp.model import PromptedClip
 from lasp.prompts import (ClassVocabulary, init_prompts, load_template_bank,
                           split_templates)
+from lasp.serialization import load_tensors, save_tensors
 from lasp.trainer import (FewShotDataset, TrainConfig, Trainer,
                           add_virtual_classes, learning_rate_at,
                           load_checkpoint, sample_few_shot, save_checkpoint)
@@ -213,3 +214,27 @@ def test_checkpoint_bitwise_reproducible(tmp_path, small_enc):
         save_checkpoint(p, model, cfg, steps=6)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_checkpoint_missing_tensor_rejected(tmp_path, small_enc):
+    model, _, cfg = tiny_setup(small_enc)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, model, cfg, steps=0)
+    named, meta = load_tensors(path)
+    del named["prompts.bias"]
+    save_tensors(path, named, meta)
+    with pytest.raises(DataError, match=r"prompts\.bias should have shape "
+                                        r"\(8,\), found nothing"):
+        load_checkpoint(path, tiny_setup(small_enc)[0])
+
+
+def test_checkpoint_shape_mismatch_rejected(tmp_path, small_enc):
+    model, _, cfg = tiny_setup(small_enc, groups=1)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, model, cfg, steps=0)
+    fresh, _, _ = tiny_setup(small_enc, groups=2)
+    before = fresh.prompt_set.vectors.data.copy()
+    with pytest.raises(DataError, match=r"prompts\.vectors should have shape "
+                                        r"\(2, 2, 8\), found \(1, 2, 8\)"):
+        load_checkpoint(path, fresh)
+    assert np.array_equal(fresh.prompt_set.vectors.data, before)
