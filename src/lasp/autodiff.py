@@ -369,18 +369,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return log_softmax(x, axis=axis).exp()
 
 
-def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
-    """Cosine of the angle between two vectors; differentiable in both."""
-    a, b = Tensor._lift(a), Tensor._lift(b)
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeError(f"cosine_similarity expects equal-length vectors, got {a.data.shape} and {b.data.shape}")
-    if np.linalg.norm(a.data) < eps or np.linalg.norm(b.data) < eps:
-        raise DegenerateInputError("cosine_similarity on (near-)zero vector")
-    dot = (a * b).sum()
-    sq = (a * a).sum() * (b * b).sum()
-    return dot * sq.pow(-0.5)
-
-
 def normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     """L2-normalize along the last axis."""
     x = Tensor._lift(x)

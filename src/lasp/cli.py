@@ -71,7 +71,6 @@ DEFAULTS = {
     "loss_kind": "ce",
     "ln_finetune": "0",
     "virtual": "",               # "new" | comma-separated names | ""
-    "momentum": "0.0",
     "clip_norm": "10.0",
     "seed": "0",
     # evaluation
@@ -180,7 +179,11 @@ def finish(run_dir: str, table: str, kv_lines: list[str]) -> int:
 
 
 class RunContext:
-    """Dataset, class names and encoder config resolved from one config."""
+    """Dataset, class names and encoder config resolved from one config.
+
+    Every key is parsed and range-checked on its own before any data is
+    built or loaded, so a bad value fails in well under a second.
+    """
 
     def __init__(self, cfg: dict[str, str]):
         for key, allowed in (("mode", MODES), ("prompt_init", PROMPT_INITS)):
@@ -189,24 +192,37 @@ class RunContext:
                                   f"{', '.join(allowed)}")
         self.cfg = cfg
         self.enc_cfg = EncoderConfig()
+        self.seed = _num(cfg, "seed", int)
+        self.train_config(virtual_classes=())
+        if _num(cfg, "m_prompts", int) < 1:
+            raise ConfigError("config key m_prompts must be >= 1")
+        for key, kind in (("jitter", float), ("distractors", int)):
+            _num(cfg, key, kind)
+        # checked even when a manifest replaces the fixture
+        spec = SyntheticDatasetSpec(
+            n_base=_num(cfg, "n_base", int),
+            n_new=_num(cfg, "n_new", int),
+            samples_per_class=_num(cfg, "samples_per_class", int),
+            test_samples=_num(cfg, "test_samples", int),
+            separation=_num(cfg, "separation", float),
+            seed=_num(cfg, "data_seed", int),
+            noise_seed=_num(cfg, "noise_seed", int),
+            center_steps=_num(cfg, "center_steps", int),
+            context_shift=_num(cfg, "context_shift", float),
+            shift_template=cfg["shift_template"],
+        )
         if cfg["manifest"]:
             manifest = load_manifest(cfg["manifest"])
             self.splits = load_dataset(manifest)
+            enc = self.enc_cfg
+            want = (enc.image_size, enc.image_size, enc.channels)
+            for ds in self.splits.values():
+                if ds.images.shape[1:] != want:
+                    raise DataError(f"{ds.split} images have shape "
+                                    f"{ds.images.shape[1:]}, the encoder takes {want}")
             self.base_names = list(manifest.base_classes)
             self.new_names = list(manifest.new_classes)
         else:
-            spec = SyntheticDatasetSpec(
-                n_base=_num(cfg, "n_base", int),
-                n_new=_num(cfg, "n_new", int),
-                samples_per_class=_num(cfg, "samples_per_class", int),
-                test_samples=_num(cfg, "test_samples", int),
-                separation=_num(cfg, "separation", float),
-                seed=_num(cfg, "data_seed", int),
-                noise_seed=_num(cfg, "noise_seed", int),
-                center_steps=_num(cfg, "center_steps", int),
-                context_shift=_num(cfg, "context_shift", float),
-                shift_template=cfg["shift_template"],
-            )
             data = make_synthetic_dataset(spec, self.enc_cfg,
                                           template_source=cfg["templates"])
             self.splits = data.splits
@@ -221,7 +237,7 @@ class RunContext:
             return tuple(self.new_names)
         return tuple(n.strip() for n in spec.split(",") if n.strip())
 
-    def build_model(self, seed: int, groups: int | None = None,
+    def build_model(self, groups: int | None = None,
                     bank: TemplateBank | None = None) -> PromptedClip:
         """Untrained model over ``bank``, or over the configured templates
         split into ``groups`` (default: the configured group count)."""
@@ -232,11 +248,11 @@ class RunContext:
             if groups > 1:
                 bank = split_templates(bank, groups, 0)
         words = cfg["prompt_words"] if cfg["prompt_init"] == "words" else None
-        return build_model(self.enc_cfg, bank, seed, words=words,
+        return build_model(self.enc_cfg, bank, self.seed, words=words,
                            m=_num(cfg, "m_prompts", int),
                            jitter=_num(cfg, "jitter", float))
 
-    def train_config(self, seed: int, **over) -> TrainConfig:
+    def train_config(self, **over) -> TrainConfig:
         cfg = self.cfg
         kw = dict(alpha_vl=_num(cfg, "alpha_vl", float),
                   alpha_tt=_num(cfg, "alpha_tt", float),
@@ -245,22 +261,21 @@ class RunContext:
                   warmup_epochs=_num(cfg, "warmup_epochs", int),
                   batch_size=_num(cfg, "batch_size", int),
                   shots=_num(cfg, "shots", int),
-                  m_prompts=_num(cfg, "m_prompts", int),
                   groups=_num(cfg, "groups", int),
                   ln_finetune=_flag(cfg, "ln_finetune"),
-                  seed=seed,
+                  seed=self.seed,
                   loss_kind=cfg["loss_kind"],
-                  virtual_classes=self.virtual_names(cfg["virtual"]),
-                  momentum=_num(cfg, "momentum", float),
                   clip_norm=_num(cfg, "clip_norm", float))
         kw.update(over)
+        if "virtual_classes" not in kw:
+            kw["virtual_classes"] = self.virtual_names(cfg["virtual"])
         return TrainConfig(**kw)
 
-    def train(self, seed: int, bank: TemplateBank | None = None, **over):
+    def train(self, bank: TemplateBank | None = None, **over):
         if bank is not None:
             over["groups"] = bank.groups
-        tcfg = self.train_config(seed, **over)
-        model = self.build_model(seed, tcfg.groups, bank)
+        tcfg = self.train_config(**over)
+        model = self.build_model(tcfg.groups, bank)
         log = train_few_shot(model, self.base_names, self.splits["base-train"],
                              tcfg)
         return model, tcfg, log
@@ -284,8 +299,7 @@ class RunContext:
 
 def cmd_train(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    seed = _num(cfg, "seed", int)
-    model, tcfg, log = ctx.train(seed)
+    model, tcfg, log = ctx.train()
     with open(os.path.join(run_dir, "train.log"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(log.lines()) + ("\n" if log.rows else ""))
     save_checkpoint(os.path.join(run_dir, "checkpoint.bin"), model, tcfg,
@@ -295,8 +309,7 @@ def cmd_train(cfg: dict[str, str], run_dir: str) -> int:
 
 def cmd_eval(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    seed = _num(cfg, "seed", int)
-    model = ctx.build_model(seed)
+    model = ctx.build_model()
     if cfg["checkpoint"]:
         if not os.path.exists(cfg["checkpoint"]):
             raise DataError(f"checkpoint not found: {cfg['checkpoint']}")
@@ -319,28 +332,26 @@ def _grid_report(rows: list[tuple[str, EvalReport]]) -> tuple[str, list[str]]:
 
 def cmd_ablate_templates(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    seed = _num(cfg, "seed", int)
     groups = _num(cfg, "groups", int)
     counts = (1, 6, 34, 100)
     banks = ([(f"hand-{n}", load_template_bank(str(n))) for n in counts]
-             + [(f"random-{n}", generate_random_templates(n, 3, 7, seed))
+             + [(f"random-{n}", generate_random_templates(n, 3, 7, ctx.seed))
                 for n in counts])
     rows = []
     for label, bank in banks:
         # a bank smaller than the group count trains a single group
         if len(bank) >= groups > 1:
             bank = split_templates(bank, groups, 0)
-        model, _, _ = ctx.train(seed, bank=bank)
+        model, _, _ = ctx.train(bank=bank)
         rows.append((label, ctx.evaluate(model)))
     return finish(run_dir, *_grid_report(rows))
 
 
 def cmd_ablate_loss(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    seed = _num(cfg, "seed", int)
     rows = []
     for kind in ("ce", "l1", "l2"):
-        model, _, _ = ctx.train(seed, loss_kind=kind)
+        model, _, _ = ctx.train(loss_kind=kind)
         rows.append((kind, ctx.evaluate(model)))
     return finish(run_dir, *_grid_report(rows))
 
@@ -348,7 +359,6 @@ def cmd_ablate_loss(cfg: dict[str, str], run_dir: str) -> int:
 def cmd_ablate_components(cfg: dict[str, str], run_dir: str) -> int:
     """Cumulative ladder: baseline, +text-to-text, +grouped, +align, +virtual."""
     ctx = RunContext(cfg)
-    seed = _num(cfg, "seed", int)
     alpha_tt = _num(cfg, "alpha_tt", float)
     groups = _num(cfg, "groups", int)
     virtual = ctx.virtual_names(cfg["virtual"]) or tuple(ctx.new_names)
@@ -366,14 +376,13 @@ def cmd_ablate_components(cfg: dict[str, str], run_dir: str) -> int:
     ]
     rows = []
     for name, over in ladder:
-        model, _, _ = ctx.train(seed, **over)
+        model, _, _ = ctx.train(**over)
         rows.append((name, ctx.evaluate(model)))
     return finish(run_dir, *_grid_report(rows))
 
 
 def cmd_distract(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    seed = _num(cfg, "seed", int)
     n_extra = _num(cfg, "distractors", int)
     used = set(ctx.base_names) | set(ctx.new_names)
     pool = [w for w in _class_word_pool() if w not in used]
@@ -382,9 +391,9 @@ def cmd_distract(cfg: dict[str, str], run_dir: str) -> int:
     if len(distractors) < n_extra:
         raise DataError("not enough pool words for the requested distractors")
 
-    plain, _, _ = ctx.train(seed, virtual_classes=())
-    aware, _, _ = ctx.train(seed, virtual_classes=tuple(ctx.new_names)
-                            + tuple(distractors))
+    plain, _, _ = ctx.train(virtual_classes=())
+    aware, _, _ = ctx.train(virtual_classes=tuple(ctx.new_names)
+                                            + tuple(distractors))
     wo, wd = evaluate_generalized(plain, ctx.splits["base-test"],
                                   ctx.splits["new-test"], ctx.base_names,
                                   ctx.new_names, distractors)

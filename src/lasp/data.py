@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .autodiff import Tensor, log_softmax, no_grad, normalize_rows
+from .autodiff import Tensor, log_softmax, normalize_rows
 from .encoders import EncoderConfig
 from .errors import DataError
 from .model import PromptedClip
@@ -75,9 +75,9 @@ def _read_ppm(path, raw: bytes) -> np.ndarray:
     except (ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed PPM header") from exc
     need = w * h * 3
-    data = np.frombuffer(raw, dtype=np.uint8, count=need, offset=i)
-    if data.size < need:
+    if len(raw) - i < need:
         raise DataError(f"{path}: truncated PPM payload")
+    data = np.frombuffer(raw, dtype=np.uint8, count=need, offset=i)
     return data.reshape(h, w, 3).astype(np.float64) / maxval
 
 
@@ -90,7 +90,6 @@ class DatasetManifest:
     base_classes: list[str]
     new_classes: list[str]
     images: dict[str, dict[str, list[str]]]    # class -> {"train"/"test": paths}
-    image_format: str = "npt"
 
     def validate(self):
         overlap = set(self.base_classes) & set(self.new_classes)
@@ -116,11 +115,13 @@ def load_manifest(path) -> DatasetManifest:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed manifest {path}: {exc}") from exc
-    m = DatasetManifest(root=os.path.dirname(os.path.abspath(path)),
-                        base_classes=doc["base_classes"],
-                        new_classes=doc["new_classes"],
-                        images=doc["images"],
-                        image_format=doc.get("image_format", "npt"))
+    try:
+        m = DatasetManifest(root=os.path.dirname(os.path.abspath(path)),
+                            base_classes=doc["base_classes"],
+                            new_classes=doc["new_classes"],
+                            images=doc["images"])
+    except KeyError as exc:
+        raise DataError(f"manifest {path} lacks key {exc}") from exc
     m.validate()
     return m
 
@@ -136,6 +137,8 @@ def load_dataset(manifest: DatasetManifest) -> dict[str, FewShotDataset]:
                 labels.append(li)
         if not imgs:
             raise DataError(f"split {split!r} has no images")
+        if len({im.shape for im in imgs}) > 1:
+            raise DataError(f"split {split!r} mixes image shapes")
         return FewShotDataset(np.stack(imgs), np.asarray(labels, dtype=np.int64), split)
 
     return {
@@ -305,7 +308,6 @@ def write_dataset(out_dir, data: SyntheticDataset) -> str:
         "base_classes": data.base_names,
         "new_classes": data.new_names,
         "images": images,
-        "image_format": "npt",
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .autodiff import Tensor, concat, layer_norm, softmax
 from .errors import ConfigError, InputError
-from .serialization import load_tensors, save_tensors
 
 
 @dataclass(frozen=True)
@@ -156,11 +155,6 @@ class TextEncoder:
         pooled = h[:, s - 1, :]          # end token is always last
         return pooled @ self.proj
 
-    def encode(self, seq: Tensor) -> Tensor:
-        if seq.data.ndim != 2:
-            raise InputError(f"expected (S, d_tok) embeddings, got {seq.shape}")
-        return self.encode_batch(seq.reshape(1, *seq.shape))[0]
-
 
 class VisionEncoder:
     """Frozen patch-transformer vision tower with optionally trainable LN."""
@@ -175,15 +169,10 @@ class VisionEncoder:
         self.pos = Tensor(_gauss(rng, (n_patches + 1, cfg.d_tok), cfg.emb_std))
         self.trunk = _Transformer(cfg, rng, cfg.d_tok, "vision")
         self.proj = Tensor(_weight(rng, (cfg.d_tok, cfg.d), cfg.weight_gain))
-        self.ln_trainable = False
 
     def set_ln_trainable(self, flag: bool):
-        self.ln_trainable = bool(flag)
         for t in self.trunk.ln_params():
-            t.requires_grad = self.ln_trainable
-
-    def ln_params(self) -> list[Tensor]:
-        return self.trunk.ln_params()
+            t.requires_grad = bool(flag)
 
     def named_params(self) -> dict[str, Tensor]:
         out = {"vision.w_patch": self.w_patch, "vision.cls": Tensor(self.cls),
@@ -211,11 +200,6 @@ class VisionEncoder:
         x = self.trunk.forward(x)
         return x[:, 0, :] @ self.proj
 
-    def encode(self, image: Tensor) -> Tensor:
-        if image.data.ndim != 3:
-            raise InputError(f"expected (h, w, c) image, got {image.shape}")
-        return self.encode_batch(image.reshape(1, *image.shape))[0]
-
 
 def trainable_parameters(prompt_set, vision_encoder: VisionEncoder,
                          ln_finetune: bool) -> dict[str, Tensor]:
@@ -228,24 +212,3 @@ def trainable_parameters(prompt_set, vision_encoder: VisionEncoder,
         params["vision.ln_f_g"] = vision_encoder.trunk.ln_f_g
         params["vision.ln_f_b"] = vision_encoder.trunk.ln_f_b
     return params
-
-
-def save_snapshot(path, text_encoder: TextEncoder, vision_encoder: VisionEncoder):
-    named = {}
-    for k, v in text_encoder.named_params().items():
-        named[k] = v.data
-    for k, v in vision_encoder.named_params().items():
-        named[k] = v.data
-    save_tensors(path, named, meta={"seed": str(text_encoder.cfg.seed)})
-
-
-def load_snapshot(path, text_encoder: TextEncoder, vision_encoder: VisionEncoder):
-    named, _ = load_tensors(path)
-    for enc in (text_encoder, vision_encoder):
-        for k, v in enc.named_params().items():
-            if k == "text.embedding":
-                text_encoder.embedding[...] = named[k]
-            elif k == "vision.cls":
-                vision_encoder.cls[...] = named[k]
-            else:
-                v.data[...] = named[k]

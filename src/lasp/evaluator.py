@@ -26,24 +26,15 @@ def harmonic_mean(base: float, new: float) -> float:
 def _score_matrix(model: PromptedClip, images: np.ndarray,
                   class_names: list[str], mode: str) -> np.ndarray:
     """(B, C) decision scores; argmax row-wise is the prediction."""
-    if not class_names:
-        raise InputError("empty class set")
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     with no_grad():
         feats = model.encode_images(images)
-        fb = feats if feats.data.ndim == 2 else feats.reshape(1, -1)
         if mode == "learned":
             rows = model.class_rows(class_names, with_bias=True)
-            return grouped_cosine_scores(rows, fb).data
-        return template_averaged_probs(model.anchors(class_names), fb,
+            return grouped_cosine_scores(rows, feats).data
+        return template_averaged_probs(model.anchors(class_names), feats,
                                        model.tau).data
-
-
-def classify(model: PromptedClip, image: np.ndarray,
-             class_names: list[str], mode: str = "learned") -> int:
-    scores = _score_matrix(model, np.asarray(image)[None, ...], class_names, mode)
-    return int(np.argmax(scores[0]))      # ties resolve to the lowest index
 
 
 def evaluate_split(model: PromptedClip, dataset: FewShotDataset,

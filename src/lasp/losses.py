@@ -22,74 +22,37 @@ def _normalize_const(anchors: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return anchors / np.maximum(norm, eps)
 
 
-def _check_feature(f: Tensor):
-    if np.linalg.norm(f.data, axis=-1).min() < 1e-12:
-        raise DegenerateInputError("zero-norm feature vector")
-
-
-def zero_shot_distribution(anchors_l: np.ndarray, f: Tensor, tau: float) -> Tensor:
-    """Class distribution from one template's hand-crafted anchors."""
-    _check_feature(f)
-    an = _normalize_const(anchors_l)                      # (C, d)
-    cos = Tensor(an) @ normalize_rows(f)                  # (C,)
-    return softmax(cos * (1.0 / tau), axis=-1)
-
-
-def vl_distribution(rows: Tensor, f: Tensor, tau: float) -> Tensor:
-    """Class distribution from learnable-prompt rows for one group."""
-    _check_feature(f)
-    cos = normalize_rows(rows) @ normalize_rows(f)
-    return softmax(cos * (1.0 / tau), axis=-1)
-
-
 def grouped_cosine_scores(rows: Tensor, f: Tensor) -> Tensor:
-    """Group-averaged cosine between class rows (G, C, d) and features.
-
-    ``f`` may be (d,) or a batch (B, d); the result is (C,) or (B, C).
-    """
-    single = f.data.ndim == 1
-    fb = f.reshape(1, *f.shape) if single else f
-    cos = normalize_rows(fb) @ normalize_rows(rows).transpose(0, 2, 1)  # (G, B, C)
-    scores = cos.mean(axis=0)
-    return scores[0] if single else scores
+    """(B, C) group-averaged cosine between class rows (G, C, d) and features (B, d)."""
+    cos = normalize_rows(f) @ normalize_rows(rows).transpose(0, 2, 1)  # (G, B, C)
+    return cos.mean(axis=0)
 
 
 def vl_loss(rows: Tensor, f: Tensor, labels, tau: float) -> Tensor:
     """Batch-mean cross-entropy of images against group-averaged class scores."""
-    _check_feature(f)
-    single = f.data.ndim == 1
-    fb = f.reshape(1, *f.shape) if single else f
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    if np.linalg.norm(f.data, axis=-1).min() < 1e-12:
+        raise DegenerateInputError("zero-norm feature vector")
+    labels = np.asarray(labels, dtype=np.int64)
     n_classes = rows.shape[-2]
     if labels.min() < 0 or labels.max() >= n_classes:
         raise InputError(f"label out of range [0, {n_classes})")
-    scores = grouped_cosine_scores(rows, fb)              # (B, C)
+    scores = grouped_cosine_scores(rows, f)               # (B, C)
     logp = log_softmax(scores * (1.0 / tau), axis=-1)
     onehot = np.zeros(logp.shape)
     onehot[np.arange(labels.size), labels] = 1.0
     return -(logp * Tensor(onehot)).sum() * (1.0 / labels.size)
 
 
-def text_class_distribution(anchors_s: np.ndarray, t_r: Tensor, tau: float) -> Tensor:
-    """Mean over templates of per-template softmax class distributions.
-
-    ``anchors_s`` is (S, C, d) for a non-empty template subset S; the
-    average is over probability vectors, not logits.
-    """
-    if anchors_s.ndim != 3 or anchors_s.shape[0] == 0:
-        raise ConfigError("need a non-empty (S, C, d) anchor stack")
-    an = _normalize_const(anchors_s)
-    cos = Tensor(an) @ normalize_rows(t_r)                # (S, C)
-    probs = softmax(cos * (1.0 / tau), axis=-1)
-    return probs.mean(axis=0)
-
-
 def template_averaged_probs(anchors: np.ndarray, x: Tensor, tau: float) -> Tensor:
     """(N, C) class probabilities of each row of ``x``, averaged over templates.
 
-    ``anchors`` is (L, C, d) and ``x`` is (N, d): learnable class rows in
-    the text-to-text loss, image features in zero-shot inference.
+    ``anchors`` is a non-empty (L, C, d) stack and ``x`` is (N, d):
+    learnable class rows in the text-to-text loss, image features in
+    zero-shot inference. The average is over probability vectors, not
+    logits.
     """
+    if anchors.ndim != 3 or anchors.shape[0] == 0:
+        raise ConfigError("need a non-empty (L, C, d) anchor stack")
     an = _normalize_const(anchors)                        # (L, C, d)
     cos = normalize_rows(x) @ Tensor(an).transpose(0, 2, 1)   # (L, N, C)
     return softmax(cos * (1.0 / tau), axis=-1).mean(axis=0)

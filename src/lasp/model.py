@@ -79,10 +79,9 @@ class PromptedClip:
     # -- vision side ----------------------------------------------------------
 
     def encode_images(self, images: np.ndarray) -> Tensor:
-        batch = Tensor(np.asarray(images, dtype=np.float64))
-        if batch.data.ndim == 3:
-            return self.vision_encoder.encode(batch)
-        return self.vision_encoder.encode_batch(batch)
+        """(B, d) features of a (B, h, w, c) image batch."""
+        return self.vision_encoder.encode_batch(
+            Tensor(np.asarray(images, dtype=np.float64)))
 
 
 def build_model(enc_cfg: EncoderConfig, bank: TemplateBank, seed: int, *,

@@ -49,7 +49,6 @@ class Tokenizer:
         self.hash_band = hash_band
         self.max_len = max_len
         self.vocab = {w: _FIRST_WORD_ID + i for i, w in enumerate(words)}
-        self._inverse = {i: w for w, i in self.vocab.items()}
 
     def words_of(self, text: str) -> list[str]:
         return _WORD_RE.findall(text.lower())
@@ -65,11 +64,3 @@ class Tokenizer:
         ids = [self.word_id(w) for w in self.words_of(text)]
         ids = ids[: self.max_len - 2]
         return [START_ID] + ids + [END_ID]
-
-    def detokenize(self, ids: list[int]) -> str:
-        words = []
-        for i in ids:
-            if i in (PAD_ID, START_ID, END_ID):
-                continue
-            words.append(self._inverse.get(i, "<unk>"))
-        return " ".join(words)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .encoders import trainable_parameters
-from .errors import ConfigError, DataError, DivergenceError, InputError
+from .errors import ConfigError, DataError, DivergenceError
 from .losses import apply_bias_correction, combined_loss, grouped_tt_loss, vl_loss
 from .model import PromptedClip
 from .prompts import ClassVocabulary
@@ -25,13 +25,11 @@ class TrainConfig:
     warmup_epochs: int = 1
     batch_size: int = 16
     shots: int = 16
-    m_prompts: int = 4
     groups: int = 3
     ln_finetune: bool = False
     seed: int = 0
     loss_kind: str = "ce"
     virtual_classes: tuple[str, ...] = ()
-    momentum: float = 0.0
     clip_norm: float = 10.0
     divergence_limit: float = 1e6
 
@@ -40,8 +38,8 @@ class TrainConfig:
             raise ConfigError("rates and counts must be positive")
         if self.clip_norm <= 0:
             raise ConfigError("clip_norm must be positive (use inf to disable)")
-        if self.shots < 1 or self.m_prompts < 1 or self.groups < 1:
-            raise ConfigError("shots, m_prompts and groups must be >= 1")
+        if self.shots < 1 or self.groups < 1:
+            raise ConfigError("shots and groups must be >= 1")
         if self.warmup_epochs < 0 or self.warmup_epochs > max(self.epochs, 1):
             raise ConfigError("warmup_epochs out of range")
         if self.loss_kind not in ("ce", "l1", "l2"):
@@ -86,14 +84,6 @@ def learning_rate_at(step: int, total_steps: int, warmup_steps: int,
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * t))
 
 
-def add_virtual_classes(vocabulary: ClassVocabulary,
-                        names: list[str]) -> ClassVocabulary:
-    overlap = set(vocabulary.all_names) & set(names)
-    if overlap:
-        raise InputError(f"virtual names collide with existing classes: {sorted(overlap)}")
-    return vocabulary.with_virtual(list(names))
-
-
 @dataclass
 class StepResult:
     l_vl: float
@@ -120,15 +110,11 @@ class Trainer:
             raise ConfigError("prompt set group count disagrees with config")
         self.model = model
         self.config = config
-        self.vocabulary = vocabulary
-        if config.virtual_classes:
-            self.vocabulary = add_virtual_classes(vocabulary,
-                                                  list(config.virtual_classes))
+        self.vocabulary = vocabulary.with_virtual(list(config.virtual_classes))
         self.params = trainable_parameters(model.prompt_set,
                                            model.vision_encoder,
                                            config.ln_finetune)
         model.vision_encoder.set_ln_trainable(config.ln_finetune)
-        self._velocity = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         # anchors span base + virtual classes and stay constant all run
         self.anchors = model.anchors(self.vocabulary.all_names)
 
@@ -173,14 +159,10 @@ class Trainer:
         gnorm = np.sqrt(sum(float((p.grad ** 2).sum())
                             for p in self.params.values() if p.grad is not None))
         scale = min(1.0, cfg.clip_norm / max(gnorm, 1e-12))
-        for k, p in self.params.items():
+        for p in self.params.values():
             if p.grad is None:
                 continue
-            if cfg.momentum:
-                self._velocity[k] = cfg.momentum * self._velocity[k] + scale * p.grad
-                p.data -= lr * self._velocity[k]
-            else:
-                p.data -= lr * scale * p.grad
+            p.data -= lr * scale * p.grad
             p.zero_grad()
         return StepResult(l_vl.item() if l_vl is not None else 0.0,
                           l_tt.item() if l_tt is not None else 0.0, val)
@@ -244,5 +226,4 @@ def load_checkpoint(path, model: PromptedClip) -> dict[str, str]:
                             f"{p.shape}, found {found}")
     for k, p in targets.items():
         p.data[...] = named[k]
-    model._anchor_cache.clear()
     return meta

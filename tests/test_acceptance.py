@@ -13,8 +13,8 @@ import pytest
 from lasp.autodiff import Tensor, grad_check
 from lasp.evaluator import (centroid_distance_matrix, evaluate_generalized,
                             harmonic_mean)
-from lasp.losses import (combined_loss, grouped_tt_loss, text_class_distribution,
-                         tt_loss, vl_loss, zero_shot_distribution)
+from lasp.losses import (combined_loss, grouped_tt_loss,
+                         template_averaged_probs, tt_loss, vl_loss)
 from lasp.prompts import TemplateBank
 
 
@@ -108,7 +108,7 @@ def test_criterion_03_image_independence(small_enc):
     bank = split_templates(load_template_bank("6"), 2, 0)
     model = PromptedClip(small_enc, prompts, bank)
     trainer = Trainer(model, ClassVocabulary(["oak", "rocket"]),
-                      TrainConfig(groups=2, m_prompts=2))
+                      TrainConfig(groups=2))
     rng = np.random.default_rng(0)
     labels = np.array([0, 1])
     tt_vals, grouped_vals = set(), set()
@@ -132,9 +132,12 @@ def test_criterion_04_reduction_identities():
     g1 = grouped_tt_loss(anchors, rows, bank, 0.5).item()
     flat = tt_loss(anchors, rows[0], 0.5).item()
 
-    t_r = Tensor(rng.standard_normal(d))
-    single_stack = text_class_distribution(anchors[:1], t_r, 0.5).data
-    single_softmax = zero_shot_distribution(anchors[0], t_r, 0.5).data
+    x = rng.standard_normal(d)
+    single_stack = template_averaged_probs(anchors[:1], Tensor(x[None]), 0.5).data[0]
+    an = anchors[0] / np.linalg.norm(anchors[0], axis=-1, keepdims=True)
+    logits = an @ (x / np.linalg.norm(x)) / 0.5
+    single_softmax = np.exp(logits - logits.max())
+    single_softmax /= single_softmax.sum()
 
     lv, lt = Tensor(np.array(1.7)), Tensor(np.array(4.2))
     exact = combined_loss(lv, lt, 0.3, 0.0).item() == 0.3 * 1.7
@@ -154,7 +157,7 @@ def _fifty_step_run(small_enc, ln_finetune):
     prompts = init_prompts(2, 2, small_enc.d_tok, small_enc.d, 0)
     bank = split_templates(load_template_bank("6"), 2, 0)
     model = PromptedClip(small_enc, prompts, bank)
-    cfg = TrainConfig(groups=2, m_prompts=2, ln_finetune=ln_finetune, lr=0.01)
+    cfg = TrainConfig(groups=2, ln_finetune=ln_finetune, lr=0.01)
     trainer = Trainer(model, ClassVocabulary(["oak", "rocket"]), cfg)
     rng = np.random.default_rng(1)
     images = rng.random((4, 16, 16, 3))
@@ -280,7 +283,7 @@ def test_criterion_11_schedule_and_determinism(small_enc, tmp_path):
         model, _ = _fifty_step_run(small_enc, ln_finetune=False)
         from lasp.trainer import TrainConfig
         path = tmp_path / f"rep{i}.bin"
-        save_checkpoint(path, model, TrainConfig(groups=2, m_prompts=2), 50)
+        save_checkpoint(path, model, TrainConfig(groups=2), 50)
         digests.append(path.read_bytes())
     ok = sched_ok and digests[0] == digests[1]
     report(11, "schedule endpoints exact; repeated runs bitwise identical",

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lasp.autodiff import (DegenerateInputError, NumericError, ShapeError,
-                           Tensor, concat, cosine_similarity, grad_check,
-                           layer_norm, log_softmax, no_grad, normalize_rows,
-                           softmax, stack)
+from lasp.autodiff import (NumericError, ShapeError, Tensor, concat,
+                           grad_check, layer_norm, log_softmax, no_grad,
+                           normalize_rows, softmax, stack)
 
 arrays = st.integers(0, 2**32 - 1).map(
     lambda s: np.random.default_rng(s).standard_normal((3, 4)))
@@ -119,35 +118,7 @@ def test_log_softmax_rejects_nan():
         log_softmax(Tensor(np.array([np.nan, 1.0])))
 
 
-# -- cosine / normalize --------------------------------------------------------
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_cosine_matches_numpy(seed):
-    rng = np.random.default_rng(seed)
-    a, b = rng.standard_normal(6), rng.standard_normal(6)
-    got = cosine_similarity(Tensor(a), Tensor(b)).item()
-    want = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-    assert got == pytest.approx(want, abs=1e-10)
-    assert -1.0 - 1e-9 <= got <= 1.0 + 1e-9
-
-
-def test_cosine_rejects_zero_vector():
-    with pytest.raises(DegenerateInputError):
-        cosine_similarity(Tensor(np.zeros(4)), Tensor(np.ones(4)))
-
-
-def test_cosine_rejects_shape_mismatch():
-    with pytest.raises(ShapeError):
-        cosine_similarity(Tensor(np.ones(3)), Tensor(np.ones(4)))
-
-
-def test_cosine_gradient():
-    a = rand((6,), seed=21)
-    b = rand((6,), seed=22)
-    report = grad_check(cosine_similarity, [a, b])
-    assert report["passed"], report["max_rel_error"]
+# -- normalize ---------------------------------------------------------------
 
 
 @given(arrays)

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -73,7 +74,7 @@ def test_train_epochs_zero_checkpoint_equals_init(tmp_path):
     from lasp.cli import RunContext
     # rebuild the untrained prompts the same way the CLI does
     ctx = RunContext(resolve_config(None, FAST[1::2], 1))
-    model = ctx.build_model(1)
+    model = ctx.build_model()
     assert np.array_equal(named["prompts.vectors"],
                           model.prompt_set.vectors.data)
     assert not named["prompts.bias"].any()
@@ -112,18 +113,27 @@ def test_eval_checkpoint_with_other_groups_is_data_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "prompts.vectors" in err
 
 
-@pytest.mark.parametrize("command, key", [("eval", "mode"),
-                                          ("ablate-templates", "prompt_init")])
+@pytest.mark.parametrize("command, setting, message", [
+    pytest.param("eval", "mode=bogus", "mode='bogus'", id="eval-mode"),
+    pytest.param("ablate-templates", "prompt_init=bogus", "prompt_init='bogus'",
+                 id="ablate-templates-prompt_init"),
+    pytest.param("train", "lr=abc", "lr='abc'", id="train-lr-not-a-number"),
+    pytest.param("train", "loss_kind=huber", "'huber'", id="train-loss_kind"),
+    pytest.param("train", "lr=-1", "must be positive", id="train-lr-negative"),
+    pytest.param("eval", "m_prompts=0", "m_prompts", id="eval-m_prompts"),
+    pytest.param("distract", "distractors=x", "distractors='x'",
+                 id="distract-distractors"),
+])
 def test_bad_choice_key_exits_2_before_fixture(tmp_path, capsys, monkeypatch,
-                                              command, key):
+                                              command, setting, message):
     import lasp.cli
     def no_fixture(*a, **k):
         raise AssertionError("fixture built before config validation")
     monkeypatch.setattr(lasp.cli, "make_synthetic_dataset", no_fixture)
-    code, _ = run([command, "--set", f"{key}=bogus"], tmp_path)
+    code, _ = run([command, "--set", setting], tmp_path)
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"{key}='bogus'" in err
+    assert err.count("\n") == 1 and message in err
 
 
 def test_eval_zero_shot_mode(tmp_path):
@@ -187,10 +197,30 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_bad_manifest_exits_3(tmp_path):
-    code, _ = run(["train", "--set", "manifest=/missing/manifest.json"],
-                  tmp_path)
-    assert code == EXIT_DATA
+def test_bad_manifest_exits_3(tmp_path, capsys):
+    from lasp.data import write_image_npt
+    write_image_npt(tmp_path / "big.npt", np.zeros((32, 32, 3)))
+    (tmp_path / "cut.ppm").write_bytes(b"P6\n16 16\n255\n" + bytes(100))
+    split = {"train": ["big.npt"], "test": ["big.npt"]}
+    docs = {     # manifest -> what the one-line message must name
+        "no-new": ({"base_classes": ["a"], "images": {"a": split}},
+                   "new_classes"),
+        "32x32": ({"base_classes": ["a"], "new_classes": ["b"],
+                   "images": {"a": split, "b": split}}, "(32, 32, 3)"),
+        "cut-ppm": ({"base_classes": ["a"], "new_classes": ["b"],
+                     "images": {"a": {"train": ["cut.ppm"]}, "b": split}},
+                    "truncated PPM"),
+    }
+    cases = [("/missing/manifest.json", "cannot read manifest")]
+    for name, (doc, message) in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        cases.append((path, message))
+    for path, message in cases:
+        code, _ = run(["train", "--set", f"manifest={path}"], tmp_path)
+        assert code == EXIT_DATA, path
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
 
 
 def test_out_root_env_respected(tmp_path, monkeypatch, capsys):

@@ -31,6 +31,10 @@ def test_npt_truncated_rejected(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(DataError):
         read_image(path)
+    ppm = tmp_path / "x.ppm"
+    ppm.write_bytes(b"P6\n2 2\n255\n" + bytes(range(11)))
+    with pytest.raises(DataError, match="truncated PPM"):
+        read_image(ppm)
 
 
 def test_ppm_decoding(tmp_path):
@@ -79,6 +83,16 @@ def test_manifest_validation(tmp_path):
     empty = dict(ok, base_classes=[])
     with pytest.raises(DataError):
         load_manifest(write_manifest(tmp_path, empty))
+
+    no_new = {k: v for k, v in ok.items() if k != "new_classes"}
+    with pytest.raises(DataError, match="new_classes"):
+        load_manifest(write_manifest(tmp_path, no_new))
+
+    write_image_npt(tmp_path / "b.npt", np.zeros((5, 5, 3)))
+    mixed = dict(ok, images={"a": {"train": ["a.npt", "b.npt"]},
+                             "b": {"test": ["a.npt"]}})
+    with pytest.raises(DataError, match="mixes image shapes"):
+        load_dataset(load_manifest(write_manifest(tmp_path, mixed)))
 
 
 # -- synthetic fixture ---------------------------------------------------------

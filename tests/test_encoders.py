@@ -3,7 +3,7 @@ import pytest
 
 from lasp.autodiff import Tensor
 from lasp.encoders import (EncoderConfig, TextEncoder, VisionEncoder,
-                           load_snapshot, save_snapshot, trainable_parameters)
+                           trainable_parameters)
 from lasp.errors import ConfigError, InputError
 from lasp.prompts import init_prompts
 
@@ -18,27 +18,34 @@ def test_config_validation():
 def test_text_encoder_shapes_and_determinism(small_enc):
     te1, te2 = TextEncoder(small_enc), TextEncoder(small_enc)
     assert np.array_equal(te1.embedding, te2.embedding)
-    x = Tensor(te1.embed_ids([1, 5, 9, 2]))
-    out1, out2 = te1.encode(x), te2.encode(Tensor(te2.embed_ids([1, 5, 9, 2])))
-    assert out1.shape == (small_enc.d,)
+    x = Tensor(te1.embed_ids([1, 5, 9, 2])[None])
+    out1 = te1.encode_batch(x)
+    out2 = te2.encode_batch(Tensor(te2.embed_ids([1, 5, 9, 2])[None]))
+    assert out1.shape == (1, small_enc.d)
     assert np.array_equal(out1.data, out2.data)
 
 
 def test_text_encoder_pools_last_position(small_enc):
-    """Changing any non-final token changes the output (attention mixes),
-    but the pooled feature is read from the final position: a batch of one
-    equals the single-sequence path."""
+    """Each row's pooled feature comes from its own sequence only: a row of
+    a batch equals the same sequence encoded alone, and changing a
+    non-final token changes it (attention mixes positions)."""
     te = TextEncoder(small_enc)
-    seq = Tensor(te.embed_ids([1, 4, 7, 2]))
-    single = te.encode(seq).data
-    batched = te.encode_batch(seq.reshape(1, 4, small_enc.d_tok)).data[0]
-    assert np.array_equal(single, batched)
+    seqs = te.embed_ids([1, 4, 7, 2, 1, 5, 7, 2]).reshape(2, 4, small_enc.d_tok)
+    batch = te.encode_batch(Tensor(seqs)).data
+    for i in range(2):
+        alone = te.encode_batch(Tensor(seqs[i:i + 1])).data[0]
+        # batch matmul may reduce in a different order; equality is numeric
+        assert np.allclose(batch[i], alone, rtol=0, atol=1e-12)
+    assert not np.allclose(batch[0], batch[1])
 
 
 def test_text_encoder_rejects_overlong(small_enc):
     te = TextEncoder(small_enc)
     with pytest.raises(InputError):
-        te.encode(Tensor(np.zeros((small_enc.max_len + 1, small_enc.d_tok))))
+        te.encode_batch(Tensor(np.zeros((1, small_enc.max_len + 1,
+                                         small_enc.d_tok))))
+    with pytest.raises(InputError):
+        te.encode_batch(Tensor(np.zeros((4, small_enc.d_tok))))
 
 
 def test_embed_class_name_splits_words(small_enc):
@@ -56,26 +63,27 @@ def test_vision_encoder_shapes(small_enc):
     imgs = np.random.default_rng(0).random((2, 16, 16, 3))
     out = ve.encode_batch(Tensor(imgs))
     assert out.shape == (2, small_enc.d)
-    one = ve.encode(Tensor(imgs[0]))
-    # batch matmul may reduce in a different order; equality is numeric
-    assert np.allclose(one.data, out.data[0], atol=1e-12)
+    for i in range(2):
+        alone = ve.encode_batch(Tensor(imgs[i:i + 1])).data[0]
+        # batch matmul may reduce in a different order; equality is numeric
+        assert np.allclose(alone, out.data[i], rtol=0, atol=1e-12)
 
 
 def test_vision_encoder_rejects_bad_dims(small_enc):
     ve = VisionEncoder(small_enc)
     with pytest.raises(InputError):
-        ve.encode(Tensor(np.zeros((15, 15, 3))))
+        ve.encode_batch(Tensor(np.zeros((1, 15, 15, 3))))
     with pytest.raises(InputError):
         ve.encode_batch(Tensor(np.zeros((16, 16, 3))))
 
 
 def test_ln_trainable_toggle(small_enc):
     ve = VisionEncoder(small_enc)
-    assert all(not t.requires_grad for t in ve.ln_params())
+    assert all(not t.requires_grad for t in ve.trunk.ln_params())
     ve.set_ln_trainable(True)
-    assert all(t.requires_grad for t in ve.ln_params())
+    assert all(t.requires_grad for t in ve.trunk.ln_params())
     ve.set_ln_trainable(False)
-    assert all(not t.requires_grad for t in ve.ln_params())
+    assert all(not t.requires_grad for t in ve.trunk.ln_params())
 
 
 def test_trainable_parameters_scope(small_enc):
@@ -86,15 +94,3 @@ def test_trainable_parameters_scope(small_enc):
     on = trainable_parameters(prompts, ve, ln_finetune=True)
     extra = set(on) - set(off)
     assert extra and all(k.startswith("vision.") and ("ln" in k) for k in extra)
-
-
-def test_snapshot_round_trip(tmp_path, small_enc):
-    te, ve = TextEncoder(small_enc), VisionEncoder(small_enc)
-    path = tmp_path / "enc.bin"
-    save_snapshot(path, te, ve)
-    te2, ve2 = TextEncoder(small_enc), VisionEncoder(small_enc)
-    te2.embedding += 1.0
-    ve2.cls += 1.0
-    load_snapshot(path, te2, ve2)
-    assert np.array_equal(te2.embedding, te.embedding)
-    assert np.array_equal(ve2.cls, ve.cls)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lasp.errors import InputError, ProtocolError
-from lasp.evaluator import (EvalReport, centroid_distance_matrix, classify,
+from lasp.evaluator import (MODES, EvalReport, centroid_distance_matrix,
                             evaluate_generalized, evaluate_split,
                             evaluate_standard, harmonic_mean)
 from lasp.model import PromptedClip
@@ -52,19 +52,21 @@ def split_for(names, n_per=4, seed=0):
     return FewShotDataset(images, labels, "base-test")
 
 
-def test_classify_returns_valid_index(eval_model):
-    img = np.random.default_rng(1).random((16, 16, 3))
-    for mode in ("learned", "zero-shot"):
-        pred = classify(eval_model, img, ["oak", "rocket", "violet"], mode)
-        assert 0 <= pred < 3
+def test_evaluate_split_in_both_modes(eval_model):
+    names = ["oak", "rocket", "violet"]
+    ds = split_for(names)
+    for mode in MODES:
+        acc_val, per_class = evaluate_split(eval_model, ds, names, mode)
+        assert 0.0 <= acc_val <= 100.0
+        assert set(per_class) == set(names)
 
 
-def test_classify_rejects_bad_mode_and_empty(eval_model):
-    img = np.zeros((16, 16, 3))
+def test_evaluate_split_rejects_bad_mode_and_empty(eval_model):
+    ds = split_for(["oak"])
     with pytest.raises(InputError):
-        classify(eval_model, img, ["oak"], mode="projected")
-    with pytest.raises(InputError):
-        classify(eval_model, img, [], mode="learned")
+        evaluate_split(eval_model, ds, ["oak"], mode="projected")
+    with pytest.raises(ProtocolError):
+        evaluate_split(eval_model, ds, [])
 
 
 def test_evaluate_split_accuracy_range_and_per_class(eval_model):

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from lasp.autodiff import DegenerateInputError, Tensor, grad_check
 from lasp.errors import ConfigError, InputError
 from lasp.losses import (apply_bias_correction, combined_loss,
-                         grouped_cosine_scores, grouped_tt_loss, tt_loss,
-                         text_class_distribution, vl_distribution, vl_loss,
-                         zero_shot_distribution)
+                         grouped_cosine_scores, grouped_tt_loss,
+                         template_averaged_probs, tt_loss, vl_loss)
 from lasp.prompts import TemplateBank
 
 
@@ -29,53 +28,60 @@ def manual_softmax(logits):
     return z / z.sum(axis=-1, keepdims=True)
 
 
+def unit(a):
+    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+
 def test_zero_shot_distribution_matches_manual():
+    # zero-shot scoring of one image feature against one stack of class anchors
     anchors = randn((4, 6), 0)
     f = randn(6, 1)
     tau = 0.5
-    got = zero_shot_distribution(anchors, Tensor(f), tau).data
-    an = anchors / np.linalg.norm(anchors, axis=-1, keepdims=True)
-    fn = f / np.linalg.norm(f)
-    want = manual_softmax(an @ fn / tau)
+    got = template_averaged_probs(anchors[None], Tensor(f[None]), tau).data[0]
+    want = manual_softmax(unit(anchors) @ unit(f) / tau)
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_zero_shot_rejects_zero_feature():
-    with pytest.raises(DegenerateInputError):
-        zero_shot_distribution(randn((3, 4), 0), Tensor(np.zeros(4)), 0.5)
-
-
-def test_vl_distribution_normalizes_rows():
-    rows = randn((3, 5), 2, scale=7.0)     # large-norm rows
-    f = randn(5, 3)
-    a = vl_distribution(Tensor(rows), Tensor(f), 0.7).data
-    b = vl_distribution(Tensor(rows * 2.0), Tensor(f), 0.7).data
-    assert np.allclose(a, b, atol=1e-12)   # cosine is scale-free
-    assert a.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_text_class_distribution_single_template_is_softmax():
+    # text-side class distribution of the learnable rows, one template
     anchors = randn((1, 4, 6), 3)
-    t_r = Tensor(randn(6, 4))
+    x = randn((5, 6), 4)
     tau = 0.3
-    got = text_class_distribution(anchors, t_r, tau).data
-    want = zero_shot_distribution(anchors[0], t_r, tau).data
-    assert np.allclose(got, want, atol=1e-15)
+    got = template_averaged_probs(anchors, Tensor(x), tau).data
+    want = manual_softmax(unit(x) @ unit(anchors[0]).T / tau)
+    assert np.allclose(got, want, atol=1e-12)
 
 
-def test_text_class_distribution_averages_probabilities():
+def test_template_averaged_probs_averages_probabilities():
     anchors = randn((3, 4, 6), 4)
-    t_r = Tensor(randn(6, 5))
-    got = text_class_distribution(anchors, t_r, 0.4).data
-    per = np.stack([zero_shot_distribution(anchors[s], t_r, 0.4).data
+    x = randn((5, 6), 5)
+    got = template_averaged_probs(anchors, Tensor(x), 0.4).data
+    per = np.stack([manual_softmax(unit(x) @ unit(anchors[s]).T / 0.4)
                     for s in range(3)])
     assert np.allclose(got, per.mean(axis=0), atol=1e-12)
-    assert got.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(got.sum(axis=-1), 1.0, atol=1e-9)
 
 
-def test_text_class_distribution_rejects_empty():
-    with pytest.raises(ConfigError):
-        text_class_distribution(np.zeros((0, 3, 4)), Tensor(np.ones(4)), 0.5)
+def test_template_averaged_probs_rejects_empty():
+    for anchors in (np.zeros((0, 3, 4)), np.ones((3, 4))):
+        with pytest.raises(ConfigError):
+            template_averaged_probs(anchors, Tensor(np.ones((2, 4))), 0.5)
+
+
+def test_grouped_cosine_scores_scale_invariant():
+    rows = randn((2, 3, 5), 2, scale=7.0)     # large-norm rows
+    f = Tensor(randn((4, 5), 3))
+    scale = np.random.default_rng(6).uniform(0.5, 3.0, size=(2, 3, 1))
+    a = grouped_cosine_scores(Tensor(rows), f).data
+    b = grouped_cosine_scores(Tensor(rows * scale), f).data
+    assert np.allclose(a, b, atol=1e-12)   # cosine is scale-free
+
+
+def test_vl_loss_rejects_zero_feature():
+    feats = randn((2, 4), 1)
+    feats[1] = 0.0
+    with pytest.raises(DegenerateInputError):
+        vl_loss(Tensor(randn((1, 3, 4), 0)), Tensor(feats), [0, 1], 0.5)
 
 
 # -- losses: oracles against finite differences --------------------------------
@@ -214,11 +220,3 @@ def test_grouped_cosine_scores_bounded(seed):
     scores = grouped_cosine_scores(rows, f).data
     assert scores.shape == (3, 4)
     assert (np.abs(scores) <= 1.0 + 1e-9).all()
-
-
-def test_grouped_cosine_scores_single_feature_matches_batch():
-    rows = Tensor(randn((2, 4, 6), 20))
-    f = randn(6, 21)
-    single = grouped_cosine_scores(rows, Tensor(f)).data
-    batch = grouped_cosine_scores(rows, Tensor(f[None])).data[0]
-    assert np.allclose(single, batch, atol=1e-15)

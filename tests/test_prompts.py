@@ -125,5 +125,5 @@ def test_assembled_prompt_grad_reaches_vectors(small_enc):
     tok = Tokenizer(max_len=small_enc.max_len)
     ps = init_prompts(1, 2, small_enc.d_tok, small_enc.d, 0)
     seq = assemble_learnable_prompt(ps, 0, "cat", te, tok)
-    te.encode(seq).sum().backward()
+    te.encode_batch(seq.reshape(1, *seq.shape)).sum().backward()
     assert ps.vectors.grad is not None and np.abs(ps.vectors.grad).max() > 0

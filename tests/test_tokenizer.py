@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lasp.tokenizer import (END_ID, PAD_ID, START_ID, Tokenizer,
-                            default_word_list)
+from lasp.tokenizer import END_ID, START_ID, Tokenizer, default_word_list
 
 words_st = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1,
                    max_size=12)
@@ -52,15 +51,6 @@ def test_unknown_words_hash_into_band(word):
 @settings(max_examples=50, deadline=None)
 def test_word_id_deterministic(word):
     assert Tokenizer().word_id(word) == Tokenizer().word_id(word)
-
-
-def test_detokenize_round_trip(tok):
-    text = "a bright photo of a small oak"
-    assert tok.detokenize(tok.tokenize(text)) == text
-
-
-def test_detokenize_skips_specials(tok):
-    assert tok.detokenize([PAD_ID, START_ID, END_ID]) == ""
 
 
 def test_word_list_overflow_rejected():

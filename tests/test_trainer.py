@@ -8,8 +8,8 @@ from lasp.prompts import (ClassVocabulary, init_prompts, load_template_bank,
                           split_templates)
 from lasp.serialization import load_tensors, save_tensors
 from lasp.trainer import (FewShotDataset, TrainConfig, Trainer,
-                          add_virtual_classes, learning_rate_at,
-                          load_checkpoint, sample_few_shot, save_checkpoint)
+                          learning_rate_at, load_checkpoint, sample_few_shot,
+                          save_checkpoint)
 
 NAMES = ["oak", "rocket", "violet"]
 
@@ -19,7 +19,7 @@ def tiny_setup(small_enc, groups=2, **cfg_over):
     bank = split_templates(load_template_bank("6"), groups, 0)
     model = PromptedClip(small_enc, prompts, bank)
     defaults = dict(epochs=1, warmup_epochs=0, batch_size=4, lr=0.01,
-                    groups=groups, m_prompts=2, shots=2)
+                    groups=groups, shots=2)
     defaults.update(cfg_over)
     cfg = TrainConfig(**defaults)
     trainer = Trainer(model, ClassVocabulary(list(NAMES)), cfg)
@@ -102,12 +102,9 @@ def test_sample_few_shot_insufficient():
         sample_few_shot(data.images, data.labels, shots=2, seed=0)
 
 
-def test_add_virtual_classes_rejects_collision():
-    vocab = ClassVocabulary(NAMES)
+def test_trainer_rejects_colliding_virtual_class(small_enc):
     with pytest.raises(InputError):
-        add_virtual_classes(vocab, ["oak"])
-    grown = add_virtual_classes(vocab, ["fern"])
-    assert grown.all_names == NAMES + ["fern"]
+        tiny_setup(small_enc, virtual_classes=("oak",))
 
 
 # -- training mechanics --------------------------------------------------------
