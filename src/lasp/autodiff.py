@@ -85,7 +85,8 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def _make(self, data, parents, backward) -> "Tensor":
+    @staticmethod
+    def _make(data, parents, backward) -> "Tensor":
         out = Tensor(data)
         if _grad_enabled and (backward is not None):
             tracked = tuple(p for p in parents
@@ -212,11 +213,6 @@ class Tensor:
 
         return self._make(a.data.transpose(axes), (a,), bw)
 
-    def swapaxes(self, i: int, j: int) -> "Tensor":
-        axes = list(range(self.data.ndim))
-        axes[i], axes[j] = axes[j], axes[i]
-        return self.transpose(*axes)
-
     def __getitem__(self, idx) -> "Tensor":
         a = self
 
@@ -320,13 +316,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 sl[axis] = slice(lo, hi)
                 t._accum(g[tuple(sl)])
 
-    out = Tensor(out_data)
-    if _grad_enabled:
-        tracked = tuple(t for t in tensors if t.requires_grad or t._backward is not None)
-        if tracked:
-            out._parents = tracked
-            out._backward = bw
-    return out
+    return Tensor._make(out_data, tensors, bw)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -339,13 +329,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if t.requires_grad or t._backward:
                 t._accum(slab)
 
-    out = Tensor(out_data)
-    if _grad_enabled:
-        tracked = tuple(t for t in tensors if t.requires_grad or t._backward is not None)
-        if tracked:
-            out._parents = tracked
-            out._backward = bw
-    return out
+    return Tensor._make(out_data, tensors, bw)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -179,10 +180,12 @@ def finish(run_dir: str, table: str, kv_lines: list[str]) -> int:
 
 
 class RunContext:
-    """Dataset, class names and encoder config resolved from one config.
+    """Dataset, class names, train config and model arguments resolved
+    from one config.
 
-    Every key is parsed and range-checked on its own before any data is
-    built or loaded, so a bad value fails in well under a second.
+    Every key is parsed once, and the configured untrained model is
+    built, before any data is built or loaded, so a bad value or a bad
+    combination of values fails in well under a second.
     """
 
     def __init__(self, cfg: dict[str, str]):
@@ -193,13 +196,26 @@ class RunContext:
         self.cfg = cfg
         self.enc_cfg = EncoderConfig()
         self.seed = _num(cfg, "seed", int)
-        self.train_config(virtual_classes=())
-        if _num(cfg, "m_prompts", int) < 1:
+        self.tcfg = TrainConfig(alpha_vl=_num(cfg, "alpha_vl", float),
+                                alpha_tt=_num(cfg, "alpha_tt", float),
+                                lr=_num(cfg, "lr", float),
+                                epochs=_num(cfg, "epochs", int),
+                                warmup_epochs=_num(cfg, "warmup_epochs", int),
+                                batch_size=_num(cfg, "batch_size", int),
+                                shots=_num(cfg, "shots", int),
+                                groups=_num(cfg, "groups", int),
+                                ln_finetune=_flag(cfg, "ln_finetune"),
+                                seed=self.seed,
+                                loss_kind=cfg["loss_kind"],
+                                clip_norm=_num(cfg, "clip_norm", float))
+        self.m = _num(cfg, "m_prompts", int)
+        if self.m < 1:
             raise ConfigError("config key m_prompts must be >= 1")
-        for key, kind in (("jitter", float), ("distractors", int)):
-            _num(cfg, key, kind)
+        self.jitter = _num(cfg, "jitter", float)
+        self.words = cfg["prompt_words"] if cfg["prompt_init"] == "words" else None
+        self.distractors = _num(cfg, "distractors", int)
         # checked even when a manifest replaces the fixture
-        spec = SyntheticDatasetSpec(
+        self.spec = SyntheticDatasetSpec(
             n_base=_num(cfg, "n_base", int),
             n_new=_num(cfg, "n_new", int),
             samples_per_class=_num(cfg, "samples_per_class", int),
@@ -211,6 +227,8 @@ class RunContext:
             context_shift=_num(cfg, "context_shift", float),
             shift_template=cfg["shift_template"],
         )
+        # checks the template split and the prompt words across keys
+        self.model = self.build_model()
         if cfg["manifest"]:
             manifest = load_manifest(cfg["manifest"])
             self.splits = load_dataset(manifest)
@@ -223,11 +241,13 @@ class RunContext:
             self.base_names = list(manifest.base_classes)
             self.new_names = list(manifest.new_classes)
         else:
-            data = make_synthetic_dataset(spec, self.enc_cfg,
+            data = make_synthetic_dataset(self.spec, self.enc_cfg,
                                           template_source=cfg["templates"])
             self.splits = data.splits
             self.base_names = list(data.base_names)
             self.new_names = list(data.new_names)
+        self.tcfg = replace(self.tcfg,
+                            virtual_classes=self.virtual_names(cfg["virtual"]))
 
     def virtual_names(self, spec: str) -> tuple[str, ...]:
         spec = spec.strip()
@@ -241,40 +261,18 @@ class RunContext:
                     bank: TemplateBank | None = None) -> PromptedClip:
         """Untrained model over ``bank``, or over the configured templates
         split into ``groups`` (default: the configured group count)."""
-        cfg = self.cfg
         if bank is None:
-            groups = groups if groups is not None else _num(cfg, "groups", int)
-            bank = load_template_bank(cfg["templates"])
+            groups = groups if groups is not None else self.tcfg.groups
+            bank = load_template_bank(self.cfg["templates"])
             if groups > 1:
                 bank = split_templates(bank, groups, 0)
-        words = cfg["prompt_words"] if cfg["prompt_init"] == "words" else None
-        return build_model(self.enc_cfg, bank, self.seed, words=words,
-                           m=_num(cfg, "m_prompts", int),
-                           jitter=_num(cfg, "jitter", float))
-
-    def train_config(self, **over) -> TrainConfig:
-        cfg = self.cfg
-        kw = dict(alpha_vl=_num(cfg, "alpha_vl", float),
-                  alpha_tt=_num(cfg, "alpha_tt", float),
-                  lr=_num(cfg, "lr", float),
-                  epochs=_num(cfg, "epochs", int),
-                  warmup_epochs=_num(cfg, "warmup_epochs", int),
-                  batch_size=_num(cfg, "batch_size", int),
-                  shots=_num(cfg, "shots", int),
-                  groups=_num(cfg, "groups", int),
-                  ln_finetune=_flag(cfg, "ln_finetune"),
-                  seed=self.seed,
-                  loss_kind=cfg["loss_kind"],
-                  clip_norm=_num(cfg, "clip_norm", float))
-        kw.update(over)
-        if "virtual_classes" not in kw:
-            kw["virtual_classes"] = self.virtual_names(cfg["virtual"])
-        return TrainConfig(**kw)
+        return build_model(self.enc_cfg, bank, self.seed, words=self.words,
+                           m=self.m, jitter=self.jitter)
 
     def train(self, bank: TemplateBank | None = None, **over):
         if bank is not None:
             over["groups"] = bank.groups
-        tcfg = self.train_config(**over)
+        tcfg = replace(self.tcfg, **over)
         model = self.build_model(tcfg.groups, bank)
         log = train_few_shot(model, self.base_names, self.splits["base-train"],
                              tcfg)
@@ -309,7 +307,7 @@ def cmd_train(cfg: dict[str, str], run_dir: str) -> int:
 
 def cmd_eval(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    model = ctx.build_model()
+    model = ctx.model
     if cfg["checkpoint"]:
         if not os.path.exists(cfg["checkpoint"]):
             raise DataError(f"checkpoint not found: {cfg['checkpoint']}")
@@ -332,7 +330,7 @@ def _grid_report(rows: list[tuple[str, EvalReport]]) -> tuple[str, list[str]]:
 
 def cmd_ablate_templates(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    groups = _num(cfg, "groups", int)
+    groups = ctx.tcfg.groups
     counts = (1, 6, 34, 100)
     banks = ([(f"hand-{n}", load_template_bank(str(n))) for n in counts]
              + [(f"random-{n}", generate_random_templates(n, 3, 7, ctx.seed))
@@ -359,8 +357,7 @@ def cmd_ablate_loss(cfg: dict[str, str], run_dir: str) -> int:
 def cmd_ablate_components(cfg: dict[str, str], run_dir: str) -> int:
     """Cumulative ladder: baseline, +text-to-text, +grouped, +align, +virtual."""
     ctx = RunContext(cfg)
-    alpha_tt = _num(cfg, "alpha_tt", float)
-    groups = _num(cfg, "groups", int)
+    alpha_tt, groups = ctx.tcfg.alpha_tt, ctx.tcfg.groups
     virtual = ctx.virtual_names(cfg["virtual"]) or tuple(ctx.new_names)
     ladder = [
         ("baseline", dict(alpha_tt=0.0, groups=1, ln_finetune=False,
@@ -383,10 +380,10 @@ def cmd_ablate_components(cfg: dict[str, str], run_dir: str) -> int:
 
 def cmd_distract(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    n_extra = _num(cfg, "distractors", int)
+    n_extra = ctx.distractors
     used = set(ctx.base_names) | set(ctx.new_names)
     pool = [w for w in _class_word_pool() if w not in used]
-    order = np.random.default_rng(_num(cfg, "data_seed", int)).permutation(len(pool))
+    order = np.random.default_rng(ctx.spec.seed).permutation(len(pool))
     distractors = [pool[int(i)] for i in order[:n_extra]]
     if len(distractors) < n_extra:
         raise DataError("not enough pool words for the requested distractors")

@@ -103,7 +103,7 @@ class _Transformer:
             return t.reshape(b, s, h, dh).transpose(0, 2, 1, 3)
 
         q, k, v = heads(x @ lyr["wq"]), heads(x @ lyr["wk"]), heads(x @ lyr["wv"])
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
+        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
         mixed = softmax(scores, axis=-1) @ v
         merged = mixed.transpose(0, 2, 1, 3).reshape(b, s, d)
         return merged @ lyr["wo"]

@@ -22,9 +22,9 @@ class ProtocolError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite or exploded."""
+    """Training loss or parameter update became non-finite or exploded."""
 
-    def __init__(self, step: int, value: float):
-        super().__init__(f"divergence at step {step}: total loss {value}")
+    def __init__(self, step: int, value: float, quantity: str = "total loss"):
+        super().__init__(f"divergence at step {step}: {quantity} {value}")
         self.step = step
         self.value = value

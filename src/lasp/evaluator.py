@@ -45,6 +45,8 @@ def evaluate_split(model: PromptedClip, dataset: FewShotDataset,
     ``label_offset`` maps dataset labels into the candidate list when the
     split's classes sit after others (generalized setting).
     """
+    if len(dataset) == 0:
+        raise InputError(f"{dataset.split} split has no images")
     labels = dataset.labels + label_offset
     if labels.min() < 0 or labels.max() >= len(class_names):
         raise ProtocolError("dataset label outside the evaluated class set")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, stack
+from .autodiff import Tensor, concat, no_grad, stack
 from .encoders import EncoderConfig, TextEncoder, VisionEncoder
 from .errors import ConfigError
 from .losses import apply_bias_correction
@@ -37,13 +37,11 @@ class PromptedClip:
         buckets: dict[int, list[int]] = {}
         for i, s in enumerate(seqs):
             buckets.setdefault(s.shape[0], []).append(i)
-        rows: list[Tensor | None] = [None] * len(seqs)
-        for length, idxs in buckets.items():
-            batch = stack([seqs[i] for i in idxs], axis=0)
-            out = self.text_encoder.encode_batch(batch)
-            for j, i in enumerate(idxs):
-                rows[i] = out[j]
-        return stack(rows, axis=0)
+        outs = [self.text_encoder.encode_batch(stack([seqs[i] for i in idxs]))
+                for idxs in buckets.values()]
+        order = np.concatenate(list(buckets.values()))
+        # one gather puts the bucket-ordered rows back in input order
+        return concat(outs, axis=0)[np.argsort(order)]
 
     def anchors(self, class_names: list[str]) -> np.ndarray:
         """Frozen hand-crafted features, shape (L, C, d); cached per class set."""
@@ -67,8 +65,9 @@ class PromptedClip:
         """Learnable-prompt class features, shape (G, C, d), grad-connected."""
         groups = []
         for g in range(self.prompt_set.groups):
-            seqs = [assemble_learnable_prompt(self.prompt_set, g, name,
-                                              self.text_encoder, self.tokenizer)
+            context = self.prompt_set.vectors[g]
+            seqs = [assemble_learnable_prompt(context, name, self.text_encoder,
+                                              self.tokenizer)
                     for name in class_names]
             groups.append(self._encode_sequences(seqs))
         rows = stack(groups, axis=0)

@@ -165,12 +165,11 @@ class ClassVocabulary:
                                self.virtual_names + list(names))
 
 
-def assemble_learnable_prompt(prompts: PromptSet, group: int,
-                              class_name: str, text_encoder, tokenizer) -> Tensor:
-    """[start, p_1^g..p_M^g, class tokens, end] as a gradient-connected sequence."""
-    if not 0 <= group < prompts.groups:
-        raise IndexError(f"group {group} out of range for G={prompts.groups}")
+def assemble_learnable_prompt(context: Tensor, class_name: str, text_encoder,
+                              tokenizer) -> Tensor:
+    """[start, p_1^g..p_M^g, class tokens, end] as a gradient-connected
+    sequence, where ``context`` holds one group's (M, d_tok) prompt vectors."""
     start = Tensor(text_encoder.embed_ids([START_ID]))
     end = Tensor(text_encoder.embed_ids([END_ID]))
     name_rows = Tensor(text_encoder.embed_class_name(tokenizer, class_name))
-    return concat([start, prompts.vectors[group], name_rows, end], axis=0)
+    return concat([start, context, name_rows, end], axis=0)

@@ -34,6 +34,11 @@ class TrainConfig:
     divergence_limit: float = 1e6
 
     def __post_init__(self):
+        # NaN passes every comparison below, so finiteness is checked first
+        if not all(map(math.isfinite, (self.lr, self.alpha_vl, self.alpha_tt))):
+            raise ConfigError("lr, alpha_vl and alpha_tt must be finite")
+        if math.isnan(self.clip_norm) or math.isnan(self.divergence_limit):
+            raise ConfigError("clip_norm and divergence_limit must not be NaN")
         if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("rates and counts must be positive")
         if self.clip_norm <= 0:
@@ -156,9 +161,14 @@ class Trainer:
         total.backward()
         # global-norm clipping: TT at tau=0.01 has near-flat plateaus next to
         # violent decision boundaries, so raw SGD steps can catapult prompts
-        gnorm = np.sqrt(sum(float((p.grad ** 2).sum())
-                            for p in self.params.values() if p.grad is not None))
-        scale = min(1.0, cfg.clip_norm / max(gnorm, 1e-12))
+        # an overflow here is reported below, before any parameter changes
+        with np.errstate(over="ignore", invalid="ignore"):
+            gnorm = np.sqrt(sum(float((p.grad ** 2).sum())
+                                for p in self.params.values() if p.grad is not None))
+            scale = min(1.0, cfg.clip_norm / max(gnorm, 1e-12))
+            update_norm = lr * scale * gnorm
+        if not np.isfinite(update_norm):
+            raise DivergenceError(step_index, update_norm, "update norm")
         for p in self.params.values():
             if p.grad is None:
                 continue

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from lasp.cli import (DEFAULTS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main,
-                      parse_config_text, resolve_config)
+from lasp.cli import (DEFAULTS, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE,
+                      main, parse_config_text, resolve_config)
 from lasp.errors import ConfigError, DataError
 from lasp.serialization import load_tensors
 
@@ -123,6 +123,17 @@ def test_eval_checkpoint_with_other_groups_is_data_error(tmp_path, capsys):
     pytest.param("eval", "m_prompts=0", "m_prompts", id="eval-m_prompts"),
     pytest.param("distract", "distractors=x", "distractors='x'",
                  id="distract-distractors"),
+    pytest.param("train", "templates=1", "cannot split 1 templates",
+                 id="train-templates-below-groups"),
+    pytest.param("eval", "prompt_words=!!!", "yielded no tokens",
+                 id="eval-prompt_words"),
+    pytest.param("train", "lr=nan", "must be finite", id="train-lr-nan"),
+    pytest.param("train", "clip_norm=nan", "must not be NaN",
+                 id="train-clip_norm-nan"),
+    pytest.param("train", "alpha_tt=nan", "must be finite",
+                 id="train-alpha_tt-nan"),
+    pytest.param("train", "alpha_vl=inf", "must be finite",
+                 id="train-alpha_vl-inf"),
 ])
 def test_bad_choice_key_exits_2_before_fixture(tmp_path, capsys, monkeypatch,
                                               command, setting, message):
@@ -134,6 +145,14 @@ def test_bad_choice_key_exits_2_before_fixture(tmp_path, capsys, monkeypatch,
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+def test_non_finite_update_exits_4(tmp_path, capsys):
+    code, _ = run(["train"] + FAST + ["--set", "epochs=2", "--set", "lr=1e308",
+                                      "--set", "clip_norm=inf"], tmp_path)
+    assert code == EXIT_DIVERGENCE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "update norm" in err
 
 
 def test_eval_zero_shot_mode(tmp_path):

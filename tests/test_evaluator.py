@@ -67,6 +67,9 @@ def test_evaluate_split_rejects_bad_mode_and_empty(eval_model):
         evaluate_split(eval_model, ds, ["oak"], mode="projected")
     with pytest.raises(ProtocolError):
         evaluate_split(eval_model, ds, [])
+    empty = FewShotDataset(ds.images[:0], ds.labels[:0], "base-test")
+    with pytest.raises(InputError):
+        evaluate_split(eval_model, empty, ["oak"])
 
 
 def test_evaluate_split_accuracy_range_and_per_class(eval_model):

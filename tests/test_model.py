@@ -1,0 +1,72 @@
+import numpy as np
+
+from lasp.autodiff import Tensor, grad_check, no_grad
+from lasp.prompts import render_template
+from lasp.tokenizer import END_ID, START_ID
+
+# one- and two-token names, so class_rows encodes two length buckets
+NAMES = ["oak", "palm tree", "rocket"]
+
+
+def encode_alone(model, embeddings: np.ndarray) -> np.ndarray:
+    with no_grad():
+        return model.text_encoder.encode_batch(Tensor(embeddings[None])).data[0]
+
+
+def test_class_rows_match_each_sequence_encoded_alone(small_model):
+    model = small_model
+    te, tok = model.text_encoder, model.tokenizer
+    assert model.prompt_set.groups == 2
+    rows = model.class_rows(NAMES, with_bias=False).data
+    assert rows.shape == (2, len(NAMES), model.cfg.d)
+    for g in range(2):
+        for c, name in enumerate(NAMES):
+            seq = np.concatenate([te.embed_ids([START_ID]),
+                                  model.prompt_set.vectors.data[g],
+                                  te.embed_class_name(tok, name),
+                                  te.embed_ids([END_ID])])
+            np.testing.assert_allclose(rows[g, c], encode_alone(model, seq),
+                                       rtol=0, atol=1e-12)
+
+
+def test_anchors_match_each_template_encoded_alone(small_model):
+    model = small_model
+    te, tok = model.text_encoder, model.tokenizer
+    anchors = model.anchors(NAMES)
+    assert anchors.shape == (len(model.bank), len(NAMES), model.cfg.d)
+    for l, template in enumerate(model.bank.templates):
+        for c, name in enumerate(NAMES):
+            ids = tok.tokenize(render_template(template, name))
+            np.testing.assert_allclose(anchors[l, c],
+                                       encode_alone(model, te.embed_ids(ids)),
+                                       rtol=0, atol=1e-12)
+
+
+def test_class_rows_grad_check(small_model):
+    model = small_model
+    ps = model.prompt_set
+    rng = np.random.default_rng(0)
+    ps.bias.data[...] = rng.normal(0.0, 0.1, size=ps.bias.shape)
+    weights = rng.normal(size=(ps.groups, len(NAMES), model.cfg.d))
+
+    def f(vectors, bias):
+        return (model.class_rows(NAMES, with_bias=True) * weights).sum()
+
+    report = grad_check(f, [ps.vectors, ps.bias])
+    assert report["passed"], report["max_rel_error"]
+
+
+def test_one_encode_batch_per_group_and_length(small_model, monkeypatch):
+    model = small_model
+    calls = []
+    encode = model.text_encoder.encode_batch
+
+    def counting(x):
+        calls.append(x.shape)
+        return encode(x)
+
+    monkeypatch.setattr(model.text_encoder, "encode_batch", counting)
+    model.class_rows(NAMES)
+    # G groups x 2 name lengths; groups never share a call
+    assert len(calls) == model.prompt_set.groups * 2
+    assert sorted(b for b, _, _ in calls) == [1, 1, 2, 2]

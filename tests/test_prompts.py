@@ -110,20 +110,18 @@ def test_assemble_learnable_prompt_layout(small_enc):
     te = TextEncoder(small_enc)
     tok = Tokenizer(max_len=small_enc.max_len)
     ps = init_prompts(2, 3, small_enc.d_tok, small_enc.d, 0)
-    seq = assemble_learnable_prompt(ps, 1, "palm tree", te, tok)
+    seq = assemble_learnable_prompt(ps.vectors[1], "palm tree", te, tok)
     # start + 3 prompt slots + 2 name tokens + end
     assert seq.shape == (7, small_enc.d_tok)
     assert np.array_equal(seq.data[0], te.embed_ids([START_ID])[0])
     assert np.array_equal(seq.data[-1], te.embed_ids([END_ID])[0])
     assert np.array_equal(seq.data[1:4], ps.vectors.data[1])
-    with pytest.raises(IndexError):
-        assemble_learnable_prompt(ps, 2, "cat", te, tok)
 
 
 def test_assembled_prompt_grad_reaches_vectors(small_enc):
     te = TextEncoder(small_enc)
     tok = Tokenizer(max_len=small_enc.max_len)
     ps = init_prompts(1, 2, small_enc.d_tok, small_enc.d, 0)
-    seq = assemble_learnable_prompt(ps, 0, "cat", te, tok)
+    seq = assemble_learnable_prompt(ps.vectors[0], "cat", te, tok)
     te.encode_batch(seq.reshape(1, *seq.shape)).sum().backward()
     assert ps.vectors.grad is not None and np.abs(ps.vectors.grad).max() > 0

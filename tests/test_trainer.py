@@ -40,7 +40,12 @@ def tiny_data(n_per=3, seed=0):
                                 dict(epochs=-1), dict(shots=0),
                                 dict(groups=0), dict(warmup_epochs=-1),
                                 dict(loss_kind="huber"), dict(clip_norm=0.0),
-                                dict(epochs=2, warmup_epochs=5)])
+                                dict(epochs=2, warmup_epochs=5),
+                                dict(lr=float("nan")), dict(lr=float("inf")),
+                                dict(alpha_vl=float("inf")),
+                                dict(alpha_tt=float("nan")),
+                                dict(clip_norm=float("nan")),
+                                dict(divergence_limit=float("nan"))])
 def test_train_config_rejects_bad_values(kw):
     base = dict(epochs=1, warmup_epochs=0)
     base.update(kw)
@@ -166,6 +171,16 @@ def test_divergence_raises(small_enc):
     data = tiny_data()
     with pytest.raises(DivergenceError):
         trainer.train_step(data.images[:4], data.labels[:4], lr=0.01)
+
+
+def test_non_finite_update_raises_before_any_change(small_enc):
+    model, trainer, _ = tiny_setup(small_enc, clip_norm=float("inf"))
+    before = {k: p.data.copy() for k, p in trainer.params.items()}
+    data = tiny_data()
+    with pytest.raises(DivergenceError, match="update norm"):
+        trainer.train_step(data.images[:4], data.labels[:4], lr=float("inf"))
+    for k, p in trainer.params.items():
+        assert np.array_equal(p.data, before[k]), k
 
 
 def test_parameter_scope_ln_off_vs_on(small_enc):
