@@ -24,7 +24,9 @@ class ProtocolError(ValueError):
 class DivergenceError(RuntimeError):
     """Training loss or parameter update became non-finite or exploded."""
 
-    def __init__(self, step: int, value: float, quantity: str = "total loss"):
-        super().__init__(f"divergence at step {step}: {quantity} {value}")
+    def __init__(self, step: int, value: float, quantity: str = "total loss",
+                 terms: str = ""):
+        note = f" ({terms})" if terms else ""
+        super().__init__(f"divergence at step {step}: {quantity} {value}{note}")
         self.step = step
         self.value = value

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor, concat, no_grad, stack
@@ -10,7 +12,23 @@ from .errors import ConfigError
 from .losses import apply_bias_correction
 from .prompts import (PromptSet, TemplateBank, assemble_learnable_prompt,
                       init_prompts, init_prompts_from_words, render_template)
-from .tokenizer import Tokenizer
+from .tokenizer import END_ID, START_ID, Tokenizer
+
+# Largest vision pass. A pass over many more images allocates activations
+# large enough that the allocator hands them back to the OS and faults them
+# in again on every encode; passes of at most this many reuse their memory.
+IMAGE_CHUNK = 64
+
+
+def _by_length(seqs: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Equal-length sequences stacked into one batch each, in order of first
+    appearance, and the index array that puts the batches' rows back in
+    input order."""
+    buckets: dict[int, list[int]] = {}
+    for i, s in enumerate(seqs):
+        buckets.setdefault(len(s), []).append(i)
+    batches = [np.stack([seqs[i] for i in idxs]) for idxs in buckets.values()]
+    return batches, np.argsort(np.concatenate(list(buckets.values())))
 
 
 class PromptedClip:
@@ -25,6 +43,8 @@ class PromptedClip:
         self.prompt_set = prompt_set
         self.bank = bank
         self._anchor_cache: dict[tuple[str, ...], np.ndarray] = {}
+        self._frame_cache: dict[tuple[str, ...],
+                                tuple[list[np.ndarray], np.ndarray]] = {}
 
     @property
     def tau(self) -> float:
@@ -32,16 +52,10 @@ class PromptedClip:
 
     # -- text side ------------------------------------------------------------
 
-    def _encode_sequences(self, seqs: list[Tensor]) -> Tensor:
-        """Encode variable-length sequences, batching equal lengths."""
-        buckets: dict[int, list[int]] = {}
-        for i, s in enumerate(seqs):
-            buckets.setdefault(s.shape[0], []).append(i)
-        outs = [self.text_encoder.encode_batch(stack([seqs[i] for i in idxs]))
-                for idxs in buckets.values()]
-        order = np.concatenate(list(buckets.values()))
-        # one gather puts the bucket-ordered rows back in input order
-        return concat(outs, axis=0)[np.argsort(order)]
+    def _encode_batches(self, batches: list, restore: np.ndarray) -> Tensor:
+        """Encode each batch, then one gather restores the input order."""
+        outs = [self.text_encoder.encode_batch(b) for b in batches]
+        return concat(outs, axis=0)[restore]
 
     def anchors(self, class_names: list[str]) -> np.ndarray:
         """Frozen hand-crafted features, shape (L, C, d); cached per class set."""
@@ -49,27 +63,40 @@ class PromptedClip:
         cached = self._anchor_cache.get(key)
         if cached is not None:
             return cached
-        tok = self.tokenizer
+        te, tok = self.text_encoder, self.tokenizer
+        batches, restore = _by_length(
+            [te.embed_ids(tok.tokenize(render_template(template, name)))
+             for template in self.bank.templates for name in class_names])
         with no_grad():
-            seqs = []
-            for template in self.bank.templates:
-                for name in class_names:
-                    ids = tok.tokenize(render_template(template, name))
-                    seqs.append(Tensor(self.text_encoder.embed_ids(ids)))
-            flat = self._encode_sequences(seqs)
+            flat = self._encode_batches([Tensor(b) for b in batches], restore)
         out = flat.data.reshape(len(self.bank), len(class_names), self.cfg.d)
         self._anchor_cache[key] = out
         return out
 
+    def _name_frames(self, class_names: list[str]
+                     ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Constant [start, name tokens, end] embedding rows per class,
+        batched by length (see ``_by_length``); cached per class set."""
+        key = tuple(class_names)
+        cached = self._frame_cache.get(key)
+        if cached is None:
+            te, tok = self.text_encoder, self.tokenizer
+            start, end = te.embed_ids([START_ID]), te.embed_ids([END_ID])
+            cached = _by_length(
+                [np.concatenate([start, te.embed_class_name(tok, name), end])
+                 for name in class_names])
+            self._frame_cache[key] = cached
+        return cached
+
     def class_rows(self, class_names: list[str], with_bias: bool = True) -> Tensor:
         """Learnable-prompt class features, shape (G, C, d), grad-connected."""
+        frames, restore = self._name_frames(class_names)
         groups = []
         for g in range(self.prompt_set.groups):
             context = self.prompt_set.vectors[g]
-            seqs = [assemble_learnable_prompt(context, name, self.text_encoder,
-                                              self.tokenizer)
-                    for name in class_names]
-            groups.append(self._encode_sequences(seqs))
+            batches = [assemble_learnable_prompt(context, frame)
+                       for frame in frames]
+            groups.append(self._encode_batches(batches, restore))
         rows = stack(groups, axis=0)
         if with_bias:
             rows = apply_bias_correction(rows, self.prompt_set.bias)
@@ -78,9 +105,16 @@ class PromptedClip:
     # -- vision side ----------------------------------------------------------
 
     def encode_images(self, images: np.ndarray) -> Tensor:
-        """(B, d) features of a (B, h, w, c) image batch."""
-        return self.vision_encoder.encode_batch(
-            Tensor(np.asarray(images, dtype=np.float64)))
+        """(B, d) features of a (B, h, w, c) image batch, encoded in
+        near-equal chunks of at most ``IMAGE_CHUNK`` images."""
+        x = np.asarray(images, dtype=np.float64)
+        if x.ndim == 0 or len(x) <= IMAGE_CHUNK:
+            return self.vision_encoder.encode_batch(Tensor(x))
+        # near-equal chunks never hold a single image, whose features BLAS
+        # computes by another kernel than a batch's
+        chunks = np.array_split(x, math.ceil(len(x) / IMAGE_CHUNK))
+        return concat([self.vision_encoder.encode_batch(Tensor(c))
+                       for c in chunks], axis=0)
 
 
 def build_model(enc_cfg: EncoderConfig, bank: TemplateBank, seed: int, *,

@@ -7,9 +7,8 @@ from importlib import resources
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor, concat, stack
 from .errors import ConfigError, InputError, TemplateError
-from .tokenizer import END_ID, START_ID
 
 PLACEHOLDER = "{}"
 
@@ -91,8 +90,11 @@ def load_template_bank(source: str = "34") -> TemplateBank:
     if source in ("6", "34", "100"):
         text = resources.files("lasp.assets").joinpath(f"templates_{source}.txt").read_text("utf-8")
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read template file {source}: {exc}") from exc
     templates = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not templates:
         raise ConfigError(f"template source {source!r} is empty")
@@ -165,11 +167,10 @@ class ClassVocabulary:
                                self.virtual_names + list(names))
 
 
-def assemble_learnable_prompt(context: Tensor, class_name: str, text_encoder,
-                              tokenizer) -> Tensor:
-    """[start, p_1^g..p_M^g, class tokens, end] as a gradient-connected
-    sequence, where ``context`` holds one group's (M, d_tok) prompt vectors."""
-    start = Tensor(text_encoder.embed_ids([START_ID]))
-    end = Tensor(text_encoder.embed_ids([END_ID]))
-    name_rows = Tensor(text_encoder.embed_class_name(tokenizer, class_name))
-    return concat([start, context, name_rows, end], axis=0)
+def assemble_learnable_prompt(context: Tensor, frame: np.ndarray) -> Tensor:
+    """The (C, S, d_tok) batch of [start, p_1^g..p_M^g, class tokens, end]
+    sequences, gradient-connected to ``context`` (one group's (M, d_tok)
+    prompt vectors). ``frame`` holds the C constant [start, class tokens,
+    end] rows, shape (C, S - M, d_tok)."""
+    return concat([frame[:, :1], stack([context] * len(frame)), frame[:, 1:]],
+                  axis=1)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .encoders import trainable_parameters
 from .errors import ConfigError, DataError, DivergenceError
 from .losses import apply_bias_correction, combined_loss, grouped_tt_loss, vl_loss
@@ -124,6 +124,8 @@ class Trainer:
         self.anchors = model.anchors(self.vocabulary.all_names)
 
     def _losses(self, images: np.ndarray | None, labels: np.ndarray | None):
+        """``images`` is a (B, h, w, c) batch, or the batch's (B, d) frozen
+        features when the vision tower is not tuned."""
         cfg = self.config
         model = self.model
         base = self.vocabulary.base_names
@@ -137,7 +139,13 @@ class Trainer:
                                           model.prompt_set.bias)
         l_vl = None
         if cfg.alpha_vl != 0.0:
-            feats = model.encode_images(images)
+            if np.ndim(images) != 2:
+                feats = model.encode_images(images)
+            elif cfg.ln_finetune:
+                raise ConfigError("ln_finetune needs images, not features: "
+                                  "features carry no LayerNorm gradient")
+            else:
+                feats = Tensor(images)
             l_vl = vl_loss(rows_base, feats, labels, model.tau)
         l_tt = None
         if cfg.alpha_tt != 0.0:
@@ -155,9 +163,11 @@ class Trainer:
         for p in self.params.values():
             p.zero_grad()
         l_vl, l_tt, total = self._losses(images, labels)
-        val = total.item()
-        if not np.isfinite(val) or abs(val) > cfg.divergence_limit:
-            raise DivergenceError(step_index, val)
+        res = StepResult(l_vl.item() if l_vl is not None else 0.0,
+                         l_tt.item() if l_tt is not None else 0.0, total.item())
+        if not np.isfinite(res.total) or abs(res.total) > cfg.divergence_limit:
+            raise DivergenceError(step_index, res.total,
+                                  terms=f"l_vl {res.l_vl}, l_tt {res.l_tt}")
         total.backward()
         # global-norm clipping: TT at tau=0.01 has near-flat plateaus next to
         # violent decision boundaries, so raw SGD steps can catapult prompts
@@ -174,11 +184,16 @@ class Trainer:
                 continue
             p.data -= lr * scale * p.grad
             p.zero_grad()
-        return StepResult(l_vl.item() if l_vl is not None else 0.0,
-                          l_tt.item() if l_tt is not None else 0.0, val)
+        return res
 
     def fit(self, train_set: FewShotDataset) -> TrainLog:
+        """Train over ``train_set``. When the vision tower is frozen, its
+        features are encoded once here and each step gets its rows."""
         cfg = self.config
+        inputs = train_set.images
+        if cfg.alpha_vl != 0.0 and not cfg.ln_finetune:
+            with no_grad():
+                inputs = self.model.encode_images(inputs).data
         n = len(train_set)
         steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
         total_steps = cfg.epochs * steps_per_epoch
@@ -191,8 +206,8 @@ class Trainer:
             for b in range(steps_per_epoch):
                 sel = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
                 lr = learning_rate_at(step, total_steps, warmup_steps, cfg.lr)
-                res = self.train_step(train_set.images[sel],
-                                      train_set.labels[sel], lr, step_index=step)
+                res = self.train_step(inputs[sel], train_set.labels[sel], lr,
+                                      step_index=step)
                 log.append(epoch, step, lr, res)
                 step += 1
         return log
@@ -224,8 +239,9 @@ def save_checkpoint(path, model: PromptedClip, config: TrainConfig, steps: int):
 def load_checkpoint(path, model: PromptedClip) -> dict[str, str]:
     """Copy every trainable tensor from ``path`` into ``model``.
 
-    Raises ``DataError`` before touching the model if a tensor is missing
-    or its shape differs from the model's (e.g. another group count).
+    Raises ``DataError`` before touching the model if a tensor is missing,
+    its shape differs from the model's (e.g. another group count) or it
+    holds a non-finite value.
     """
     named, meta = load_tensors(path)
     targets = trainable_parameters(model.prompt_set, model.vision_encoder, True)
@@ -234,6 +250,9 @@ def load_checkpoint(path, model: PromptedClip) -> dict[str, str]:
         if found != p.shape:
             raise DataError(f"checkpoint {path}: tensor {k} should have shape "
                             f"{p.shape}, found {found}")
+        if not np.isfinite(named[k]).all():
+            raise DataError(f"checkpoint {path}: tensor {k} holds non-finite "
+                            "values")
     for k, p in targets.items():
         p.data[...] = named[k]
     return meta

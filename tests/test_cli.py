@@ -7,7 +7,7 @@ import pytest
 from lasp.cli import (DEFAULTS, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE,
                       main, parse_config_text, resolve_config)
 from lasp.errors import ConfigError, DataError
-from lasp.serialization import load_tensors
+from lasp.serialization import load_tensors, save_tensors
 
 FAST = ["--set", "center_steps=20", "--set", "epochs=1",
         "--set", "warmup_epochs=0", "--set", "n_base=2", "--set", "n_new=2",
@@ -113,6 +113,21 @@ def test_eval_checkpoint_with_other_groups_is_data_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "prompts.vectors" in err
 
 
+def test_eval_non_finite_checkpoint_is_data_error(tmp_path, capsys):
+    code, train_out = run(["train", "--seed", "0"] + FAST, tmp_path, "t")
+    assert code == EXIT_OK
+    named, meta = load_tensors(train_out / "checkpoint.bin")
+    named["prompts.bias"][0] = np.nan
+    bad = tmp_path / "nan.bin"
+    save_tensors(bad, named, meta)
+    capsys.readouterr()
+    code, _ = run(["eval", "--seed", "0"] + FAST
+                  + ["--set", f"checkpoint={bad}"], tmp_path, "e")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "prompts.bias holds non-finite" in err
+
+
 @pytest.mark.parametrize("command, setting, message", [
     pytest.param("eval", "mode=bogus", "mode='bogus'", id="eval-mode"),
     pytest.param("ablate-templates", "prompt_init=bogus", "prompt_init='bogus'",
@@ -134,6 +149,11 @@ def test_eval_checkpoint_with_other_groups_is_data_error(tmp_path, capsys):
                  id="train-alpha_tt-nan"),
     pytest.param("train", "alpha_vl=inf", "must be finite",
                  id="train-alpha_vl-inf"),
+    pytest.param("train", "templates=/nonexistent.txt",
+                 "cannot read template file /nonexistent.txt",
+                 id="train-templates-missing-file"),
+    pytest.param("train", "templates=/", "Is a directory",
+                 id="train-templates-directory"),
 ])
 def test_bad_choice_key_exits_2_before_fixture(tmp_path, capsys, monkeypatch,
                                               command, setting, message):

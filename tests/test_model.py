@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
+import pytest
 
 from lasp.autodiff import Tensor, grad_check, no_grad
+from lasp.model import IMAGE_CHUNK
 from lasp.prompts import render_template
 from lasp.tokenizer import END_ID, START_ID
 
@@ -70,3 +74,46 @@ def test_one_encode_batch_per_group_and_length(small_model, monkeypatch):
     # G groups x 2 name lengths; groups never share a call
     assert len(calls) == model.prompt_set.groups * 2
     assert sorted(b for b, _, _ in calls) == [1, 1, 2, 2]
+
+
+def count_vision_passes(model, monkeypatch) -> list[int]:
+    sizes = []
+    encode = model.vision_encoder.encode_batch
+
+    def counting(x):
+        sizes.append(x.shape[0])
+        return encode(x)
+
+    monkeypatch.setattr(model.vision_encoder, "encode_batch", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [2, 65, 130, 1000])
+def test_encode_images_in_chunks_equals_one_pass(small_model, monkeypatch, n):
+    model = small_model
+    images = np.random.default_rng(n).random((n, 16, 16, 3))
+    with no_grad():
+        whole = model.vision_encoder.encode_batch(Tensor(images)).data
+        sizes = count_vision_passes(model, monkeypatch)
+        got = model.encode_images(images).data
+    assert np.array_equal(got, whole)
+    assert len(sizes) == math.ceil(n / IMAGE_CHUNK) and sum(sizes) == n
+    # a lone image takes another BLAS kernel, so no chunk may hold one
+    assert min(sizes) > 1 and max(sizes) <= IMAGE_CHUNK
+
+
+def test_encode_images_grad_check_across_chunks(small_model, monkeypatch):
+    model = small_model
+    ve = model.vision_encoder
+    ve.set_ln_trainable(True)
+    rng = np.random.default_rng(0)
+    images = rng.random((IMAGE_CHUNK + 2, 16, 16, 3))
+    weights = rng.normal(size=(len(images), model.cfg.d))
+    sizes = count_vision_passes(model, monkeypatch)
+
+    def f(*ln):
+        return (model.encode_images(images) * weights).sum()
+
+    report = grad_check(f, ve.trunk.ln_params())
+    assert sizes[0] == 33 and sizes[1] == 33    # two chunks per call
+    assert report["passed"], report["max_rel_error"]

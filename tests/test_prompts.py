@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,15 @@ def test_load_shipped_banks():
         assert bank.groups == 1
 
 
+def test_unreadable_template_file_is_config_error(tmp_path):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("a caf\xe9 {}\n".encode("latin-1"))
+    for source in (tmp_path / "missing.txt", tmp_path, latin1):
+        with pytest.raises(ConfigError, match="cannot read template file "
+                                              + re.escape(str(source))):
+            load_template_bank(str(source))
+
+
 def test_render_template():
     assert render_template("a photo of a {}", "tree_frog") == "a photo of a tree frog"
     with pytest.raises(TemplateError):
@@ -106,22 +117,33 @@ def test_class_vocabulary():
         v.with_virtual(["dog"])
 
 
+def name_frame(te, tok, names):
+    """(C, 1 + L + 1, d_tok) [start, name tokens, end] rows of equal-length names."""
+    return np.stack([np.concatenate([te.embed_ids([START_ID]),
+                                     te.embed_class_name(tok, name),
+                                     te.embed_ids([END_ID])])
+                     for name in names])
+
+
 def test_assemble_learnable_prompt_layout(small_enc):
     te = TextEncoder(small_enc)
     tok = Tokenizer(max_len=small_enc.max_len)
     ps = init_prompts(2, 3, small_enc.d_tok, small_enc.d, 0)
-    seq = assemble_learnable_prompt(ps.vectors[1], "palm tree", te, tok)
-    # start + 3 prompt slots + 2 name tokens + end
-    assert seq.shape == (7, small_enc.d_tok)
-    assert np.array_equal(seq.data[0], te.embed_ids([START_ID])[0])
-    assert np.array_equal(seq.data[-1], te.embed_ids([END_ID])[0])
-    assert np.array_equal(seq.data[1:4], ps.vectors.data[1])
+    names = ["palm tree", "tree frog"]
+    batch = assemble_learnable_prompt(ps.vectors[1], name_frame(te, tok, names))
+    # per class: start + 3 prompt slots + 2 name tokens + end
+    assert batch.shape == (2, 7, small_enc.d_tok)
+    for c, name in enumerate(names):
+        assert np.array_equal(batch.data[c, 0], te.embed_ids([START_ID])[0])
+        assert np.array_equal(batch.data[c, 1:4], ps.vectors.data[1])
+        assert np.array_equal(batch.data[c, 4:6], te.embed_class_name(tok, name))
+        assert np.array_equal(batch.data[c, -1], te.embed_ids([END_ID])[0])
 
 
 def test_assembled_prompt_grad_reaches_vectors(small_enc):
     te = TextEncoder(small_enc)
     tok = Tokenizer(max_len=small_enc.max_len)
     ps = init_prompts(1, 2, small_enc.d_tok, small_enc.d, 0)
-    seq = assemble_learnable_prompt(ps.vectors[0], "cat", te, tok)
-    te.encode_batch(seq.reshape(1, *seq.shape)).sum().backward()
+    batch = assemble_learnable_prompt(ps.vectors[0], name_frame(te, tok, ["cat"]))
+    te.encode_batch(batch).sum().backward()
     assert ps.vectors.grad is not None and np.abs(ps.vectors.grad).max() > 0

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from lasp.autodiff import no_grad
 from lasp.encoders import EncoderConfig
 from lasp.errors import ConfigError, DataError, DivergenceError, InputError
 from lasp.model import PromptedClip
 from lasp.prompts import (ClassVocabulary, init_prompts, load_template_bank,
                           split_templates)
 from lasp.serialization import load_tensors, save_tensors
-from lasp.trainer import (FewShotDataset, TrainConfig, Trainer,
+from lasp.trainer import (FewShotDataset, TrainConfig, Trainer, TrainLog,
                           learning_rate_at, load_checkpoint, sample_few_shot,
                           save_checkpoint)
 
@@ -169,8 +172,13 @@ def test_gradient_clipping_bounds_update(small_enc):
 def test_divergence_raises(small_enc):
     model, trainer, _ = tiny_setup(small_enc, divergence_limit=1e-12)
     data = tiny_data()
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as err:
         trainer.train_step(data.images[:4], data.labels[:4], lr=0.01)
+    l_vl, l_tt, total = (t.item() for t in
+                         trainer._losses(data.images[:4], data.labels[:4]))
+    assert err.value.value == total
+    assert str(err.value) == (f"divergence at step 0: total loss {total} "
+                              f"(l_vl {l_vl}, l_tt {l_tt})")
 
 
 def test_non_finite_update_raises_before_any_change(small_enc):
@@ -181,6 +189,61 @@ def test_non_finite_update_raises_before_any_change(small_enc):
         trainer.train_step(data.images[:4], data.labels[:4], lr=float("inf"))
     for k, p in trainer.params.items():
         assert np.array_equal(p.data, before[k]), k
+
+
+def count_encodes(model, monkeypatch) -> list[int]:
+    sizes = []
+    encode = model.encode_images
+
+    def counting(images):
+        sizes.append(len(images))
+        return encode(images)
+
+    monkeypatch.setattr(model, "encode_images", counting)
+    return sizes
+
+
+def fit_with_image_batches(trainer, data) -> TrainLog:
+    """``Trainer.fit``'s loop, handing each step its images."""
+    cfg = trainer.config
+    steps = math.ceil(len(data) / cfg.batch_size)
+    rng = np.random.default_rng(cfg.seed)
+    log, step = TrainLog(), 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(data))
+        for b in range(steps):
+            sel = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            lr = learning_rate_at(step, cfg.epochs * steps,
+                                  cfg.warmup_epochs * steps, cfg.lr)
+            log.append(epoch, step, lr, trainer.train_step(
+                data.images[sel], data.labels[sel], lr, step_index=step))
+            step += 1
+    return log
+
+
+def test_fit_encodes_frozen_pool_once(small_enc, monkeypatch):
+    data = tiny_data(n_per=4)      # 12 images, batches of 4: none holds one
+    _, ref_trainer, _ = tiny_setup(small_enc, epochs=3)
+    ref_log = fit_with_image_batches(ref_trainer, data)
+    model, trainer, _ = tiny_setup(small_enc, epochs=3)
+    sizes = count_encodes(model, monkeypatch)
+    log = trainer.fit(data)
+    assert sizes == [len(data)]
+    assert log.rows == ref_log.rows
+    for k, p in trainer.params.items():
+        assert np.array_equal(p.data, ref_trainer.params[k].data), k
+
+
+def test_fit_with_ln_finetune_encodes_every_step(small_enc, monkeypatch):
+    data = tiny_data(n_per=4)
+    model, trainer, _ = tiny_setup(small_enc, epochs=2, ln_finetune=True)
+    sizes = count_encodes(model, monkeypatch)
+    trainer.fit(data)
+    assert sizes == [4] * 6
+    with no_grad():
+        feats = model.encode_images(data.images[:4]).data
+    with pytest.raises(ConfigError, match="ln_finetune"):
+        trainer.train_step(feats, data.labels[:4], lr=0.01)
 
 
 def test_parameter_scope_ln_off_vs_on(small_enc):
@@ -238,6 +301,23 @@ def test_checkpoint_missing_tensor_rejected(tmp_path, small_enc):
     with pytest.raises(DataError, match=r"prompts\.bias should have shape "
                                         r"\(8,\), found nothing"):
         load_checkpoint(path, tiny_setup(small_enc)[0])
+
+
+def test_checkpoint_non_finite_tensor_rejected(tmp_path, small_enc):
+    model, _, cfg = tiny_setup(small_enc)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, model, cfg, steps=0)
+    named, meta = load_tensors(path)
+    named["prompts.vectors"] += 1.0
+    named["prompts.bias"][3] = np.nan
+    save_tensors(path, named, meta)
+    fresh, _, _ = tiny_setup(small_enc)
+    vectors = fresh.prompt_set.vectors.data.copy()
+    # the finite vectors come first, and must not be copied either
+    with pytest.raises(DataError, match=r"prompts\.bias holds non-finite"):
+        load_checkpoint(path, fresh)
+    assert np.array_equal(fresh.prompt_set.vectors.data, vectors)
+    assert not fresh.prompt_set.bias.data.any()
 
 
 def test_checkpoint_shape_mismatch_rejected(tmp_path, small_enc):
