@@ -267,8 +267,10 @@ class Tensor:
     # -- backward pass --------------------------------------------------------
 
     def _accum(self, g: np.ndarray):
+        # Interior grads are dropped after ``backward`` and never written in
+        # place, so they may alias ``g``; a leaf's grad is its own array.
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = np.array(g, dtype=np.float64) if self._backward is None else g
         else:
             self.grad = self.grad + g
 
@@ -332,15 +334,18 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tensors, bw)
 
 
+def _log_softmax_data(x: Tensor, axis: int, op: str) -> np.ndarray:
+    if not np.all(np.isfinite(x.data)):
+        raise NumericError(f"{op} requires finite input")
+    m = x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - m
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis`` (max-subtraction)."""
     x = Tensor._lift(x)
-    if not np.all(np.isfinite(x.data)):
-        raise NumericError("log_softmax requires finite input")
-    m = x.data.max(axis=axis, keepdims=True)
-    shifted = x.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
+    out_data = _log_softmax_data(x, axis, "log_softmax")
 
     def bw(g):
         soft = np.exp(out_data)
@@ -350,7 +355,15 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return log_softmax(x, axis=axis).exp()
+    """``exp(log_softmax(x))`` as one node; its backward reuses the output."""
+    x = Tensor._lift(x)
+    out_data = np.exp(_log_softmax_data(x, axis, "softmax"))
+
+    def bw(g):
+        gl = g * out_data
+        x._accum(gl - out_data * gl.sum(axis=axis, keepdims=True))
+
+    return x._make(out_data, (x,), bw)
 
 
 def normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -361,15 +374,40 @@ def normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row standardization over the last axis followed by affine."""
+    """Per-row standardization over the last axis followed by affine.
+
+    One node. Forward and backward evaluate, in the same order, the
+    expressions of the composite ``mean``/``sub``/``mul``/``pow`` chain,
+    so values and gradients equal that chain's bit for bit.
+    """
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
     x, gain, bias = Tensor._lift(x), Tensor._lift(gain), Tensor._lift(bias)
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    xhat = centered * (var + eps).pow(-0.5)
-    return xhat * gain + bias
+    k = np.asarray(1.0 / x.data.shape[-1])
+    mu = x.data.sum(axis=-1, keepdims=True) * k
+    c = x.data + -mu
+    var = (c * c).sum(axis=-1, keepdims=True) * k
+    ve = var + eps
+    r = ve ** -0.5
+    xhat = c * r
+    out_data = xhat * gain.data + bias.data
+
+    def bw(g):
+        if bias.requires_grad or bias._backward:
+            bias._accum(_unbroadcast(g, bias.data.shape))
+        if gain.requires_grad or gain._backward:
+            gain._accum(_unbroadcast(g * xhat, gain.data.shape))
+        if x.requires_grad or x._backward:
+            gx = g * gain.data
+            gr = _unbroadcast(gx * c, r.shape)
+            gsq = gr * -0.5 * ve ** -1.5 * k
+            gc = gx * r
+            gc = gc + gsq * c
+            gc = gc + gsq * c
+            x._accum(gc)
+            x._accum(np.broadcast_to(-_unbroadcast(gc, mu.shape) * k, x.data.shape))
+
+    return Tensor._make(out_data, (x, gain, bias), bw)
 
 
 # -- gradient checking --------------------------------------------------------

@@ -145,15 +145,21 @@ class TextEncoder:
         return self.embed_ids(ids)
 
     def encode_batch(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 3:
-            raise InputError(f"expected (B, S, d_tok) embeddings, got {x.shape}")
-        b, s, _ = x.shape
+        """(..., d) features of (..., S, d_tok) embeddings, any leading shape.
+
+        The trunk runs once over the flattened batch. The pooled rows get
+        their leading shape back before ``@ proj``, so each trailing batch is
+        projected by its own matrix product, as it would be on its own (BLAS
+        picks the kernel by row count).
+        """
+        if x.data.ndim < 3:
+            raise InputError(f"expected (..., S, d_tok) embeddings, got {x.shape}")
+        *lead, s, d_tok = x.shape
         if s > self.cfg.max_len:
             raise InputError(f"sequence length {s} exceeds max {self.cfg.max_len}")
-        h = x + self.pos[:s]
-        h = self.trunk.forward(h)
+        h = self.trunk.forward(x.reshape(-1, s, d_tok) + self.pos[:s])
         pooled = h[:, s - 1, :]          # end token is always last
-        return pooled @ self.proj
+        return pooled.reshape(*lead, d_tok) @ self.proj
 
 
 class VisionEncoder:

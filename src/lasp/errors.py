@@ -24,9 +24,10 @@ class ProtocolError(ValueError):
 class DivergenceError(RuntimeError):
     """Training loss or parameter update became non-finite or exploded."""
 
-    def __init__(self, step: int, value: float, quantity: str = "total loss",
-                 terms: str = ""):
+    def __init__(self, step: int, value: float | None,
+                 quantity: str = "total loss", terms: str = ""):
+        shown = quantity if value is None else f"{quantity} {value}"
         note = f" ({terms})" if terms else ""
-        super().__init__(f"divergence at step {step}: {quantity} {value}{note}")
+        super().__init__(f"divergence at step {step}: {shown}{note}")
         self.step = step
         self.value = value

@@ -52,11 +52,6 @@ class PromptedClip:
 
     # -- text side ------------------------------------------------------------
 
-    def _encode_batches(self, batches: list, restore: np.ndarray) -> Tensor:
-        """Encode each batch, then one gather restores the input order."""
-        outs = [self.text_encoder.encode_batch(b) for b in batches]
-        return concat(outs, axis=0)[restore]
-
     def anchors(self, class_names: list[str]) -> np.ndarray:
         """Frozen hand-crafted features, shape (L, C, d); cached per class set."""
         key = tuple(class_names)
@@ -68,8 +63,9 @@ class PromptedClip:
             [te.embed_ids(tok.tokenize(render_template(template, name)))
              for template in self.bank.templates for name in class_names])
         with no_grad():
-            flat = self._encode_batches([Tensor(b) for b in batches], restore)
-        out = flat.data.reshape(len(self.bank), len(class_names), self.cfg.d)
+            flat = np.concatenate([te.encode_batch(Tensor(b)).data
+                                   for b in batches])
+        out = flat[restore].reshape(len(self.bank), len(class_names), self.cfg.d)
         self._anchor_cache[key] = out
         return out
 
@@ -89,15 +85,20 @@ class PromptedClip:
         return cached
 
     def class_rows(self, class_names: list[str], with_bias: bool = True) -> Tensor:
-        """Learnable-prompt class features, shape (G, C, d), grad-connected."""
+        """Learnable-prompt class features, shape (G, C, d), grad-connected.
+
+        One text-tower pass per token length covers all G groups: their
+        assembled (C_len, S, d_tok) batches are stacked into one
+        (G, C_len, S, d_tok) batch.
+        """
         frames, restore = self._name_frames(class_names)
-        groups = []
-        for g in range(self.prompt_set.groups):
-            context = self.prompt_set.vectors[g]
-            batches = [assemble_learnable_prompt(context, frame)
-                       for frame in frames]
-            groups.append(self._encode_batches(batches, restore))
-        rows = stack(groups, axis=0)
+        contexts = [self.prompt_set.vectors[g]
+                    for g in range(self.prompt_set.groups)]
+        outs = [self.text_encoder.encode_batch(stack(
+                    [assemble_learnable_prompt(context, frame)
+                     for context in contexts]))
+                for frame in frames]
+        rows = concat(outs, axis=1)[:, restore]
         if with_bias:
             rows = apply_bias_correction(rows, self.prompt_set.bias)
         return rows

@@ -63,6 +63,7 @@ def init_prompts_from_words(text_encoder, tokenizer, words: list[str],
 class TemplateBank:
     templates: list[str]
     group_of: list[int] = field(default_factory=list)   # template index -> group
+    source: str = ""     # the ``load_template_bank`` source; "" if built in code
 
     def __post_init__(self):
         for t in self.templates:
@@ -86,7 +87,7 @@ def load_template_bank(source: str = "34") -> TemplateBank:
     """Shipped banks: "34" (default), "100", "6" (surface-form paraphrases
     of one context), "1" ("a photo of {}")."""
     if source == "1":
-        return TemplateBank(["a photo of {}"])
+        return TemplateBank(["a photo of {}"], source=source)
     if source in ("6", "34", "100"):
         text = resources.files("lasp.assets").joinpath(f"templates_{source}.txt").read_text("utf-8")
     else:
@@ -98,7 +99,7 @@ def load_template_bank(source: str = "34") -> TemplateBank:
     templates = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not templates:
         raise ConfigError(f"template source {source!r} is empty")
-    return TemplateBank(templates)
+    return TemplateBank(templates, source=source)
 
 
 def render_template(template: str, class_name: str) -> str:
@@ -122,7 +123,7 @@ def split_templates(bank: TemplateBank, groups: int, seed: int) -> TemplateBank:
         for idx in order[pos : pos + size]:
             group_of[int(idx)] = g
         pos += size
-    return TemplateBank(list(bank.templates), group_of)
+    return TemplateBank(list(bank.templates), group_of, bank.source)
 
 
 def generate_random_templates(n: int, min_len: int, max_len: int, seed: int,

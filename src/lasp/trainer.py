@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -89,6 +90,17 @@ def learning_rate_at(step: int, total_steps: int, warmup_steps: int,
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * t))
 
 
+@contextlib.contextmanager
+def _overflow_is_divergence(step: int, stage: str):
+    """Raise ``DivergenceError`` for a float overflow inside the block."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DivergenceError(step, None, f"overflow in the {stage}",
+                              terms=str(exc)) from None
+
+
 @dataclass
 class StepResult:
     l_vl: float
@@ -162,13 +174,15 @@ class Trainer:
         cfg = self.config
         for p in self.params.values():
             p.zero_grad()
-        l_vl, l_tt, total = self._losses(images, labels)
+        with _overflow_is_divergence(step_index, "forward pass"):
+            l_vl, l_tt, total = self._losses(images, labels)
         res = StepResult(l_vl.item() if l_vl is not None else 0.0,
                          l_tt.item() if l_tt is not None else 0.0, total.item())
         if not np.isfinite(res.total) or abs(res.total) > cfg.divergence_limit:
             raise DivergenceError(step_index, res.total,
                                   terms=f"l_vl {res.l_vl}, l_tt {res.l_tt}")
-        total.backward()
+        with _overflow_is_divergence(step_index, "backward pass"):
+            total.backward()
         # global-norm clipping: TT at tau=0.01 has near-flat plateaus next to
         # violent decision boundaries, so raw SGD steps can catapult prompts
         # an overflow here is reported below, before any parameter changes
@@ -178,7 +192,11 @@ class Trainer:
             scale = min(1.0, cfg.clip_norm / max(gnorm, 1e-12))
             update_norm = lr * scale * gnorm
         if not np.isfinite(update_norm):
-            raise DivergenceError(step_index, update_norm, "update norm")
+            bad = [k for k, p in self.params.items()
+                   if p.grad is not None and not np.isfinite(p.grad).all()]
+            raise DivergenceError(step_index, update_norm, "update norm",
+                                  terms=(f"non-finite gradient in {', '.join(bad)}"
+                                         if bad else "every gradient finite"))
         for p in self.params.values():
             if p.grad is None:
                 continue
@@ -228,22 +246,37 @@ def train_few_shot(model: PromptedClip, base_names: list[str],
 # -- checkpoints ---------------------------------------------------------------
 
 
+def _encoder_meta(model: PromptedClip) -> dict[str, str]:
+    """The frozen encoder a checkpoint's tensors only make sense with."""
+    cfg = model.cfg
+    return {"d": str(cfg.d), "d_tok": str(cfg.d_tok),
+            "encoder_seed": str(cfg.seed)}
+
+
 def save_checkpoint(path, model: PromptedClip, config: TrainConfig, steps: int):
     named = {k: p.data for k, p in trainable_parameters(
         model.prompt_set, model.vision_encoder, True).items()}
     meta = {"steps": str(steps), "seed": str(config.seed),
-            "config": repr(config)}
+            "config": repr(config), "groups": str(model.prompt_set.groups),
+            "m_prompts": str(model.prompt_set.m),
+            "templates": model.bank.source, **_encoder_meta(model)}
     save_tensors(path, named, meta=meta)
 
 
 def load_checkpoint(path, model: PromptedClip) -> dict[str, str]:
     """Copy every trainable tensor from ``path`` into ``model``.
 
-    Raises ``DataError`` before touching the model if a tensor is missing,
-    its shape differs from the model's (e.g. another group count) or it
-    holds a non-finite value.
+    Raises ``DataError`` before touching the model if the checkpoint was
+    written for another encoder (``d``, ``d_tok`` or encoder seed; keys a
+    checkpoint lacks are not checked), or if a tensor is missing, its shape
+    differs from the model's (e.g. another group count) or it holds a
+    non-finite value.
     """
     named, meta = load_tensors(path)
+    for k, ours in _encoder_meta(model).items():
+        if meta.get(k, ours) != ours:
+            raise DataError(f"checkpoint {path}: written for {k}={meta[k]}, "
+                            f"this model has {k}={ours}")
     targets = trainable_parameters(model.prompt_set, model.vision_encoder, True)
     for k, p in targets.items():
         found = named[k].shape if k in named else "nothing"

@@ -62,6 +62,67 @@ def test_gradients_softmax_layernorm():
     assert report["passed"], report["max_rel_error"]
 
 
+def test_gradients_layer_norm():
+    report = grad_check(lambda x, g, b: layer_norm(x, g, b).pow(3.0).sum(),
+                        [rand((2, 3, 5), seed=6), rand((5,), seed=7),
+                         rand((5,), seed=8)])
+    assert report["passed"], report["max_rel_error"]
+
+
+def test_gradients_softmax():
+    w = np.random.default_rng(9).standard_normal((2, 3, 5))
+    report = grad_check(lambda x: (softmax(x, axis=-1) * w).sum(),
+                        [rand((2, 3, 5), seed=10)])
+    assert report["passed"], report["max_rel_error"]
+
+
+# The chains the fused ops replace, built from the elementary ops.
+
+def composite_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * (var + eps).pow(-0.5) * gain + bias
+
+
+def composite_softmax(x, axis=-1):
+    return log_softmax(x, axis=axis).exp()
+
+
+@pytest.mark.parametrize("fused, composite", [
+    (lambda x, g, b: layer_norm(x, g, b), composite_layer_norm),
+    (lambda x, g, b: softmax(x * g + b), lambda x, g, b: composite_softmax(x * g + b)),
+])
+def test_fused_op_equals_composite_chain_bitwise(fused, composite):
+    rng = np.random.default_rng(0)
+    data = [rng.standard_normal((3, 4, 6)), rng.standard_normal(6),
+            rng.standard_normal(6)]
+    w = rng.standard_normal((3, 4, 6))
+    results = []
+    for op in (fused, composite):
+        x, g, b = (Tensor(d.copy(), requires_grad=True) for d in data)
+        h = x * 1.5                      # interior input, also fed forward
+        out = op(h, g, b)
+        ((h + out).tanh() * w).sum().backward()   # residual add
+        results.append([out.data, x.grad, g.grad, b.grad])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+def test_leaf_grads_are_writable_and_own_their_memory():
+    a, c = rand((2, 3, 4), seed=1), rand((2, 3, 4), seed=4)
+    g, b = rand((4,), seed=2), rand((4,), seed=3)
+    h = a + c                      # hands a and c the same gradient array
+    y = layer_norm(h, g, b) + h.reshape(2, 3, 4)
+    (softmax(y) * y).sum().backward()
+    leaves = (a, c, g, b)
+    for leaf in leaves:
+        assert leaf.grad.flags.writeable
+        others = [t.data for t in leaves + (h, y)] + [t.grad for t in leaves
+                                                      if t is not leaf]
+        assert not any(np.shares_memory(leaf.grad, o) for o in others)
+
+
 def test_gradients_concat_stack_norm():
     a = rand((2, 3), seed=1)
     b = rand((2, 3), seed=2)
@@ -116,6 +177,11 @@ def test_log_softmax_extreme_values_stable():
 def test_log_softmax_rejects_nan():
     with pytest.raises(NumericError):
         log_softmax(Tensor(np.array([np.nan, 1.0])))
+
+
+def test_softmax_rejects_nan():
+    with pytest.raises(NumericError, match="softmax requires finite input"):
+        softmax(Tensor(np.array([np.nan, 1.0])))
 
 
 # -- normalize ---------------------------------------------------------------

@@ -175,6 +175,33 @@ def test_non_finite_update_exits_4(tmp_path, capsys):
     assert err.count("\n") == 1 and "update norm" in err
 
 
+def test_overflowing_step_exits_4(tmp_path, capsys):
+    code, out = run(["train"] + FAST + ["--set", "epochs=2", "--set", "lr=1e200",
+                                        "--set", "clip_norm=inf"], tmp_path)
+    assert code == EXIT_DIVERGENCE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "divergence at step 1: overflow in the forward pass" in err
+    assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("key", ["d", "d_tok", "encoder_seed"])
+def test_eval_checkpoint_for_another_encoder_is_data_error(tmp_path, capsys,
+                                                           key):
+    code, train_out = run(["train", "--seed", "0"] + FAST, tmp_path, "t")
+    assert code == EXIT_OK
+    named, meta = load_tensors(train_out / "checkpoint.bin")
+    meta[key] = str(int(meta[key]) + 1)
+    other = tmp_path / "other.bin"
+    save_tensors(other, named, meta)
+    capsys.readouterr()
+    code, _ = run(["eval", "--seed", "0"] + FAST
+                  + ["--set", f"checkpoint={other}"], tmp_path, "e")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"written for {key}={meta[key]}," in err
+
+
 def test_eval_zero_shot_mode(tmp_path):
     code, out = run(["eval", "--seed", "0"] + FAST + ["--set", "mode=zero-shot"],
                     tmp_path)

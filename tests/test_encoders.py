@@ -46,6 +46,9 @@ def test_text_encoder_rejects_overlong(small_enc):
                                          small_enc.d_tok))))
     with pytest.raises(InputError):
         te.encode_batch(Tensor(np.zeros((4, small_enc.d_tok))))
+    with pytest.raises(InputError):
+        te.encode_batch(Tensor(np.zeros((2, 1, small_enc.max_len + 1,
+                                         small_enc.d_tok))))
 
 
 def test_embed_class_name_splits_words(small_enc):

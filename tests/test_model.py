@@ -71,9 +71,25 @@ def test_one_encode_batch_per_group_and_length(small_model, monkeypatch):
 
     monkeypatch.setattr(model.text_encoder, "encode_batch", counting)
     model.class_rows(NAMES)
-    # G groups x 2 name lengths; groups never share a call
-    assert len(calls) == model.prompt_set.groups * 2
-    assert sorted(b for b, _, _ in calls) == [1, 1, 2, 2]
+    # one call per name length, each holding every group's sequences
+    groups = model.prompt_set.groups
+    assert len(calls) == 2
+    assert sorted(shape[:2] for shape in calls) == [(groups, 1), (groups, 2)]
+
+
+def test_encode_batch_of_groups_equals_one_call_per_group(small_model):
+    te = small_model.text_encoder
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(3, 5, 6, te.cfg.d_tok)), requires_grad=True)
+    weights = rng.normal(size=(3, 5, te.cfg.d))
+    (te.encode_batch(x) * weights).sum().backward()
+    whole, whole_grad = te.encode_batch(x).data, x.grad
+    for g in range(3):
+        xg = Tensor(x.data[g], requires_grad=True)
+        out = te.encode_batch(xg)
+        (out * weights[g]).sum().backward()
+        assert np.array_equal(out.data, whole[g])
+        assert np.array_equal(xg.grad, whole_grad[g])
 
 
 def count_vision_passes(model, monkeypatch) -> list[int]:

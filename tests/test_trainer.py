@@ -191,6 +191,49 @@ def test_non_finite_update_raises_before_any_change(small_enc):
         assert np.array_equal(p.data, before[k]), k
 
 
+def test_non_finite_update_names_the_non_finite_gradients(small_enc,
+                                                         monkeypatch):
+    model, trainer, _ = tiny_setup(small_enc)
+    ps = model.prompt_set
+    # finite loss, infinite bias gradient (d sqrt(x) / dx at x = 0)
+    monkeypatch.setattr(trainer, "_losses", lambda *a: (
+        None, None, ps.bias.pow(0.5).sum() + (ps.vectors * 0.0).sum()))
+    data = tiny_data()
+    with pytest.raises(DivergenceError,
+                       match=r"update norm nan \(non-finite gradient in "
+                             r"prompts\.bias\)$"), np.errstate(divide="ignore"):
+        trainer.train_step(data.images[:4], data.labels[:4], lr=0.01)
+    assert not ps.bias.data.any()
+
+
+def huge_prompts(trainer, monkeypatch):
+    trainer.model.prompt_set.vectors.data *= 1e200
+
+
+def loss_with_huge_slope(trainer, monkeypatch):
+    bias = trainer.model.prompt_set.bias
+    # zero at bias = 0, slope 1e400
+    monkeypatch.setattr(trainer, "_losses", lambda *a: (
+        None, None, (bias * 1e200 * 1e200).sum()))
+
+
+@pytest.mark.parametrize("stage, corrupt", [("forward", huge_prompts),
+                                            ("backward", loss_with_huge_slope)])
+def test_overflow_raises_before_any_change(small_enc, monkeypatch, stage,
+                                           corrupt):
+    model, trainer, _ = tiny_setup(small_enc)
+    corrupt(trainer, monkeypatch)
+    before = {k: p.data.copy() for k, p in trainer.params.items()}
+    data = tiny_data()
+    with pytest.raises(DivergenceError,
+                       match=f"^divergence at step 5: overflow in the {stage} "
+                             r"pass \(overflow encountered in multiply\)$"):
+        trainer.train_step(data.images[:4], data.labels[:4], lr=0.01,
+                           step_index=5)
+    for k, p in trainer.params.items():
+        assert np.array_equal(p.data, before[k]), k
+
+
 def count_encodes(model, monkeypatch) -> list[int]:
     sizes = []
     encode = model.encode_images
@@ -278,6 +321,18 @@ def test_checkpoint_round_trip(tmp_path, small_enc):
                           model.prompt_set.vectors.data)
     assert np.array_equal(fresh.prompt_set.bias.data,
                           model.prompt_set.bias.data)
+
+
+def test_checkpoint_describes_its_configuration(tmp_path, small_enc):
+    model, _, cfg = tiny_setup(small_enc)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, model, cfg, steps=0)
+    _, meta = load_tensors(path)
+    assert {k: meta[k] for k in ("groups", "m_prompts", "d_tok", "d",
+                                 "encoder_seed", "templates")} == {
+        "groups": "2", "m_prompts": "2", "d_tok": str(small_enc.d_tok),
+        "d": str(small_enc.d), "encoder_seed": str(small_enc.seed),
+        "templates": "6"}
 
 
 def test_checkpoint_bitwise_reproducible(tmp_path, small_enc):
