@@ -6,7 +6,7 @@ import argparse
 from lasp.data import SyntheticDatasetSpec, make_synthetic_dataset, write_dataset
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("out", help="output directory")
     ap.add_argument("--n-base", type=int, default=10)
@@ -15,7 +15,7 @@ def main():
     ap.add_argument("--context-shift", type=float, default=0.3)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--templates", default="6")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     spec = SyntheticDatasetSpec(n_base=args.n_base, n_new=args.n_new,
                                 separation=args.separation,

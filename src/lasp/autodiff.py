@@ -113,17 +113,12 @@ class Tensor:
 
         return self._make(a.data + b.data, (a, b), bw)
 
-    __radd__ = __add__
-
     def __neg__(self):
         a = self
         return self._make(-a.data, (a,), lambda g: a._accum(-g))
 
     def __sub__(self, other):
         return self + (-Tensor._lift(other))
-
-    def __rsub__(self, other):
-        return Tensor._lift(other) + (-self)
 
     def __mul__(self, other):
         other = Tensor._lift(other)
@@ -138,13 +133,6 @@ class Tensor:
         return self._make(a.data * b.data, (a, b), bw)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Tensor._lift(other)
-        return self * other.pow(-1.0)
-
-    def __rtruediv__(self, other):
-        return Tensor._lift(other) * self.pow(-1.0)
 
     def pow(self, p: float) -> "Tensor":
         a = self

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .data import (SyntheticDatasetSpec, load_dataset, load_manifest,
                    make_synthetic_dataset, _class_word_pool)
-from .encoders import EncoderConfig
+from .encoders import IMAGE_SHAPE, EncoderConfig
 from .errors import (ConfigError, DataError, DivergenceError, InputError,
                      ProtocolError, TemplateError)
 from .evaluator import (MODES, EvalReport, centroid_distance_matrix,
@@ -232,12 +232,11 @@ class RunContext:
         if cfg["manifest"]:
             manifest = load_manifest(cfg["manifest"])
             self.splits = load_dataset(manifest)
-            enc = self.enc_cfg
-            want = (enc.image_size, enc.image_size, enc.channels)
             for ds in self.splits.values():
-                if ds.images.shape[1:] != want:
+                if ds.images.shape[1:] != IMAGE_SHAPE:
                     raise DataError(f"{ds.split} images have shape "
-                                    f"{ds.images.shape[1:]}, the encoder takes {want}")
+                                    f"{ds.images.shape[1:]}, the encoder takes "
+                                    f"{IMAGE_SHAPE}")
             self.base_names = list(manifest.base_classes)
             self.new_names = list(manifest.new_classes)
         else:

@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .autodiff import Tensor, log_softmax, normalize_rows
-from .encoders import EncoderConfig
+from .encoders import IMAGE_SHAPE, EncoderConfig
 from .errors import DataError
 from .model import PromptedClip
 from .prompts import ClassVocabulary, init_prompts, load_template_bank
@@ -37,8 +37,16 @@ def write_image_npt(path, image: np.ndarray):
 
 
 def read_image(path) -> np.ndarray:
+    """Decode an NPT or binary PPM file to a finite float (h, w, c) array."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    image = _decode(path, raw)
+    if not np.isfinite(image).all():
+        raise DataError(f"{path}: image holds non-finite pixel values")
+    return image
+
+
+def _decode(path, raw: bytes) -> np.ndarray:
     if raw.startswith(NPT_MAGIC):
         header, _, payload = raw.partition(b"\n")
         try:
@@ -78,7 +86,9 @@ def _read_ppm(path, raw: bytes) -> np.ndarray:
     if len(raw) - i < need:
         raise DataError(f"{path}: truncated PPM payload")
     data = np.frombuffer(raw, dtype=np.uint8, count=need, offset=i)
-    return data.reshape(h, w, 3).astype(np.float64) / maxval
+    # maxval 0 yields NaN/inf pixels, which read_image rejects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return data.reshape(h, w, 3).astype(np.float64) / maxval
 
 
 # -- manifests -----------------------------------------------------------------
@@ -150,6 +160,8 @@ def load_dataset(manifest: DatasetManifest) -> dict[str, FewShotDataset]:
 
 # -- synthetic fixture ---------------------------------------------------------
 
+CENTER_LR = 0.03      # Adam step size of the pixel ascent for class centers
+
 
 @dataclass
 class SyntheticDatasetSpec:
@@ -158,12 +170,9 @@ class SyntheticDatasetSpec:
     samples_per_class: int = 20       # training pool per base class
     test_samples: int = 20
     separation: float = 4.0
-    image_size: int = 16
-    channels: int = 3
     seed: int = 0
     noise_seed: int = 100             # cluster noise stream, independent of seed
     center_steps: int = 600
-    center_lr: float = 0.03
     context_shift: float = 0.0        # mix new-class targets toward shift_template
     shift_template: str = "a picture of a {}"
 
@@ -204,8 +213,8 @@ def _aligned_centers(model: PromptedClip, targets: np.ndarray,
     against the given unit target directions (softmax over classes)."""
     an_t = Tensor(targets.T[None])                         # (1, d, C)
     n = len(targets)
-    shape = (n, spec.image_size, spec.image_size, spec.channels)
-    x = Tensor(0.5 + 0.15 * rng.standard_normal(shape), requires_grad=True)
+    x = Tensor(0.5 + 0.15 * rng.standard_normal((n, *IMAGE_SHAPE)),
+               requires_grad=True)
     eye = Tensor(np.eye(n))
     m1 = np.zeros_like(x.data)
     m2 = np.zeros_like(x.data)
@@ -221,7 +230,7 @@ def _aligned_centers(model: PromptedClip, targets: np.ndarray,
         (logp * eye).sum().backward()
         m1 = 0.9 * m1 + 0.1 * x.grad
         m2 = 0.999 * m2 + 0.001 * x.grad * x.grad
-        x.data += spec.center_lr * m1 / (np.sqrt(m2) + 1e-8)
+        x.data += CENTER_LR * m1 / (np.sqrt(m2) + 1e-8)
         np.clip(x.data, 0.0, 1.0, out=x.data)
     return x.data.copy()
 
@@ -249,8 +258,7 @@ def _center_targets(probe: PromptedClip, names: list[str],
 def make_synthetic_dataset(spec: SyntheticDatasetSpec,
                            enc_cfg: EncoderConfig | None = None,
                            template_source: str = "34") -> SyntheticDataset:
-    enc_cfg = enc_cfg or EncoderConfig(image_size=spec.image_size,
-                                       channels=spec.channels)
+    enc_cfg = enc_cfg or EncoderConfig()
     rng = np.random.default_rng(spec.seed)
     pool = _class_word_pool()
     order = rng.permutation(len(pool))
@@ -268,9 +276,7 @@ def make_synthetic_dataset(spec: SyntheticDatasetSpec,
     def cluster(class_idx: list[int], per_class: int, split: str) -> FewShotDataset:
         imgs, labels = [], []
         for li, ci in enumerate(class_idx):
-            noise = noise_rng.normal(0.0, std,
-                               size=(per_class, spec.image_size, spec.image_size,
-                                     spec.channels))
+            noise = noise_rng.normal(0.0, std, size=(per_class, *IMAGE_SHAPE))
             imgs.append(with_centers[ci] + noise)
             labels.extend([li] * per_class)
         return FewShotDataset(np.concatenate(imgs),

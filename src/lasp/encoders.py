@@ -14,6 +14,17 @@ import numpy as np
 
 from .autodiff import Tensor, concat, layer_norm, softmax
 from .errors import ConfigError, InputError
+from .tokenizer import VOCAB_SIZE
+
+# Frozen settings no configuration varies.
+TAU = 0.01            # temperature; frozen, CLIP's converged value
+IMAGE_SIZE = 16
+CHANNELS = 3
+IMAGE_SHAPE = (IMAGE_SIZE, IMAGE_SIZE, CHANNELS)
+PATCH_SIZE = 4
+FFN_MULT = 2          # feed-forward width / d_tok
+EMB_STD = 1.0         # token/positional embedding scale
+WEIGHT_GAIN = 4.0     # weight std = gain / sqrt(fan_in)
 
 
 @dataclass(frozen=True)
@@ -22,54 +33,43 @@ class EncoderConfig:
     d: int = 32              # joint embedding dimension
     n_layers: int = 2
     n_heads: int = 2
-    ffn_mult: int = 2
-    vocab_size: int = 4096
     max_len: int = 32
-    tau: float = 0.01        # temperature; frozen, CLIP's converged value
-    image_size: int = 16
-    channels: int = 3
-    patch_size: int = 4
-    emb_std: float = 1.0     # token/positional embedding scale
-    weight_gain: float = 4.0  # weight std = gain / sqrt(fan_in)
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
         if self.d_tok % self.n_heads != 0:
             raise ConfigError("d_tok must divide evenly into heads")
 
 
-def _gauss(rng, shape, std):
-    return rng.normal(0.0, std, size=shape)
+def _gauss(rng, shape):
+    return rng.normal(0.0, EMB_STD, size=shape)
 
 
-def _weight(rng, shape, gain):
+def _weight(rng, shape):
     # width-scaled init keeps activations O(1) so the class token's
     # contribution survives the residual stream of a random network
-    return rng.normal(0.0, gain / math.sqrt(shape[0]), size=shape)
+    return rng.normal(0.0, WEIGHT_GAIN / math.sqrt(shape[0]), size=shape)
 
 
 class _Transformer:
     """Shared pre-LN transformer stack over (B, S, D) inputs."""
 
-    def __init__(self, cfg: EncoderConfig, rng, width: int, prefix: str):
+    def __init__(self, cfg: EncoderConfig, rng, prefix: str):
         self.cfg = cfg
-        self.width = width
         self.prefix = prefix
         self.layers = []
-        gain = cfg.weight_gain
+        width = cfg.d_tok
         for i in range(cfg.n_layers):
             lyr = {
-                "wq": Tensor(_weight(rng, (width, width), gain)),
-                "wk": Tensor(_weight(rng, (width, width), gain)),
-                "wv": Tensor(_weight(rng, (width, width), gain)),
-                "wo": Tensor(_weight(rng, (width, width), gain)),
+                "wq": Tensor(_weight(rng, (width, width))),
+                "wk": Tensor(_weight(rng, (width, width))),
+                "wv": Tensor(_weight(rng, (width, width))),
+                "wo": Tensor(_weight(rng, (width, width))),
                 "ln1_g": Tensor(np.ones(width)),
                 "ln1_b": Tensor(np.zeros(width)),
-                "w1": Tensor(_weight(rng, (width, width * cfg.ffn_mult), gain)),
-                "b1": Tensor(np.zeros(width * cfg.ffn_mult)),
-                "w2": Tensor(_weight(rng, (width * cfg.ffn_mult, width), gain)),
+                "w1": Tensor(_weight(rng, (width, width * FFN_MULT))),
+                "b1": Tensor(np.zeros(width * FFN_MULT)),
+                "w2": Tensor(_weight(rng, (width * FFN_MULT, width))),
                 "b2": Tensor(np.zeros(width)),
                 "ln2_g": Tensor(np.ones(width)),
                 "ln2_b": Tensor(np.zeros(width)),
@@ -97,7 +97,7 @@ class _Transformer:
     def _attention(self, x: Tensor, lyr) -> Tensor:
         cfg = self.cfg
         b, s, d = x.shape
-        h, dh = cfg.n_heads, self.width // cfg.n_heads
+        h, dh = cfg.n_heads, cfg.d_tok // cfg.n_heads
 
         def heads(t: Tensor) -> Tensor:
             return t.reshape(b, s, h, dh).transpose(0, 2, 1, 3)
@@ -122,10 +122,10 @@ class TextEncoder:
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
-        self.embedding = _gauss(rng, (cfg.vocab_size, cfg.d_tok), cfg.emb_std)
-        self.pos = Tensor(_gauss(rng, (cfg.max_len, cfg.d_tok), cfg.emb_std))
-        self.trunk = _Transformer(cfg, rng, cfg.d_tok, "text")
-        self.proj = Tensor(_weight(rng, (cfg.d_tok, cfg.d), cfg.weight_gain))
+        self.embedding = _gauss(rng, (VOCAB_SIZE, cfg.d_tok))
+        self.pos = Tensor(_gauss(rng, (cfg.max_len, cfg.d_tok)))
+        self.trunk = _Transformer(cfg, rng, "text")
+        self.proj = Tensor(_weight(rng, (cfg.d_tok, cfg.d)))
 
     def named_params(self) -> dict[str, Tensor]:
         out = {"text.embedding": Tensor(self.embedding), "text.pos": self.pos,
@@ -168,13 +168,13 @@ class VisionEncoder:
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed + 1)
-        p, c = cfg.patch_size, cfg.channels
-        self.w_patch = Tensor(_weight(rng, (p * p * c, cfg.d_tok), cfg.weight_gain))
-        self.cls = _gauss(rng, (cfg.d_tok,), cfg.emb_std)
-        n_patches = (cfg.image_size // p) ** 2
-        self.pos = Tensor(_gauss(rng, (n_patches + 1, cfg.d_tok), cfg.emb_std))
-        self.trunk = _Transformer(cfg, rng, cfg.d_tok, "vision")
-        self.proj = Tensor(_weight(rng, (cfg.d_tok, cfg.d), cfg.weight_gain))
+        p = PATCH_SIZE
+        self.w_patch = Tensor(_weight(rng, (p * p * CHANNELS, cfg.d_tok)))
+        self.cls = _gauss(rng, (cfg.d_tok,))
+        n_patches = (IMAGE_SIZE // p) ** 2
+        self.pos = Tensor(_gauss(rng, (n_patches + 1, cfg.d_tok)))
+        self.trunk = _Transformer(cfg, rng, "vision")
+        self.proj = Tensor(_weight(rng, (cfg.d_tok, cfg.d)))
 
     def set_ln_trainable(self, flag: bool):
         for t in self.trunk.ln_params():
@@ -187,7 +187,7 @@ class VisionEncoder:
         return out
 
     def _patchify(self, images: Tensor) -> Tensor:
-        p = self.cfg.patch_size
+        p = PATCH_SIZE
         b, h, w, c = images.shape
         x = images.reshape(b, h // p, p, w // p, p, c)
         x = x.transpose(0, 1, 3, 2, 4, 5)
@@ -196,10 +196,10 @@ class VisionEncoder:
     def encode_batch(self, images: Tensor) -> Tensor:
         if images.data.ndim != 4:
             raise InputError(f"expected (B, h, w, c) images, got {images.shape}")
-        b, h, w, c = images.shape
-        p = self.cfg.patch_size
-        if h % p or w % p:
-            raise InputError(f"image dims {h}x{w} not divisible by patch size {p}")
+        b, *hwc = images.shape
+        if tuple(hwc) != IMAGE_SHAPE:
+            raise InputError(f"images have shape {tuple(hwc)}, "
+                             f"the encoder takes {IMAGE_SHAPE}")
         tokens = self._patchify(images) @ self.w_patch
         cls = Tensor(np.broadcast_to(self.cls, (b, 1, self.cfg.d_tok)).copy())
         x = concat([cls, tokens], axis=1) + self.pos

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .autodiff import Tensor, concat, no_grad, stack
-from .encoders import EncoderConfig, TextEncoder, VisionEncoder
+from .encoders import TAU, EncoderConfig, TextEncoder, VisionEncoder
 from .errors import ConfigError
 from .losses import apply_bias_correction
 from .prompts import (PromptSet, TemplateBank, assemble_learnable_prompt,
@@ -48,7 +48,7 @@ class PromptedClip:
 
     @property
     def tau(self) -> float:
-        return self.cfg.tau
+        return TAU
 
     # -- text side ------------------------------------------------------------
 

@@ -12,6 +12,8 @@ PAD_ID = 0
 START_ID = 1
 END_ID = 2
 _FIRST_WORD_ID = 3
+VOCAB_SIZE = 4096     # ids the text encoder's embedding table covers
+HASH_BAND = 256       # top ids, shared by every unknown word
 
 
 def _asset_words(name: str) -> list[str]:
@@ -39,14 +41,10 @@ class Tokenizer:
     the top of the vocabulary so they are stable across runs.
     """
 
-    def __init__(self, words: list[str] | None = None,
-                 vocab_size: int = 4096, hash_band: int = 256,
-                 max_len: int = 32):
+    def __init__(self, words: list[str] | None = None, max_len: int = 32):
         words = default_word_list() if words is None else words
-        if _FIRST_WORD_ID + len(words) > vocab_size - hash_band:
+        if _FIRST_WORD_ID + len(words) > VOCAB_SIZE - HASH_BAND:
             raise ValueError("word list does not fit below the hash band")
-        self.vocab_size = vocab_size
-        self.hash_band = hash_band
         self.max_len = max_len
         self.vocab = {w: _FIRST_WORD_ID + i for i, w in enumerate(words)}
 
@@ -56,8 +54,8 @@ class Tokenizer:
     def word_id(self, word: str) -> int:
         wid = self.vocab.get(word)
         if wid is None:
-            band_start = self.vocab_size - self.hash_band
-            wid = band_start + zlib.crc32(word.encode("utf-8")) % self.hash_band
+            band = zlib.crc32(word.encode("utf-8")) % HASH_BAND
+            wid = VOCAB_SIZE - HASH_BAND + band
         return wid
 
     def tokenize(self, text: str) -> list[int]:

@@ -11,7 +11,8 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .encoders import trainable_parameters
 from .errors import ConfigError, DataError, DivergenceError
-from .losses import apply_bias_correction, combined_loss, grouped_tt_loss, vl_loss
+from .losses import (LOSS_KINDS, apply_bias_correction, combined_loss,
+                     grouped_tt_loss, vl_loss)
 from .model import PromptedClip
 from .prompts import ClassVocabulary
 from .serialization import load_tensors, save_tensors
@@ -48,7 +49,7 @@ class TrainConfig:
             raise ConfigError("shots and groups must be >= 1")
         if self.warmup_epochs < 0 or self.warmup_epochs > max(self.epochs, 1):
             raise ConfigError("warmup_epochs out of range")
-        if self.loss_kind not in ("ce", "l1", "l2"):
+        if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
 
 
@@ -250,7 +251,8 @@ def _encoder_meta(model: PromptedClip) -> dict[str, str]:
     """The frozen encoder a checkpoint's tensors only make sense with."""
     cfg = model.cfg
     return {"d": str(cfg.d), "d_tok": str(cfg.d_tok),
-            "encoder_seed": str(cfg.seed)}
+            "n_layers": str(cfg.n_layers), "n_heads": str(cfg.n_heads),
+            "max_len": str(cfg.max_len), "encoder_seed": str(cfg.seed)}
 
 
 def save_checkpoint(path, model: PromptedClip, config: TrainConfig, steps: int):
@@ -267,7 +269,7 @@ def load_checkpoint(path, model: PromptedClip) -> dict[str, str]:
     """Copy every trainable tensor from ``path`` into ``model``.
 
     Raises ``DataError`` before touching the model if the checkpoint was
-    written for another encoder (``d``, ``d_tok`` or encoder seed; keys a
+    written for another encoder (any ``EncoderConfig`` field; keys a
     checkpoint lacks are not checked), or if a tensor is missing, its shape
     differs from the model's (e.g. another group count) or it holds a
     non-finite value.

@@ -185,7 +185,8 @@ def test_overflowing_step_exits_4(tmp_path, capsys):
     assert not (out / "checkpoint.bin").exists()
 
 
-@pytest.mark.parametrize("key", ["d", "d_tok", "encoder_seed"])
+@pytest.mark.parametrize("key", ["d", "d_tok", "n_layers", "n_heads",
+                                 "max_len", "encoder_seed"])
 def test_eval_checkpoint_for_another_encoder_is_data_error(tmp_path, capsys,
                                                            key):
     code, train_out = run(["train", "--seed", "0"] + FAST, tmp_path, "t")
@@ -267,7 +268,13 @@ def test_bad_manifest_exits_3(tmp_path, capsys):
     from lasp.data import write_image_npt
     write_image_npt(tmp_path / "big.npt", np.zeros((32, 32, 3)))
     (tmp_path / "cut.ppm").write_bytes(b"P6\n16 16\n255\n" + bytes(100))
+    write_image_npt(tmp_path / "ok.npt", np.zeros((16, 16, 3)))
+    nan = np.zeros((16, 16, 3))
+    nan[3, 4, 1] = np.nan
+    write_image_npt(tmp_path / "nan.npt", nan)
+    (tmp_path / "zero.ppm").write_bytes(b"P6\n16 16\n0\n" + bytes(768))
     split = {"train": ["big.npt"], "test": ["big.npt"]}
+    ok = {"train": ["ok.npt"], "test": ["ok.npt"]}
     docs = {     # manifest -> what the one-line message must name
         "no-new": ({"base_classes": ["a"], "images": {"a": split}},
                    "new_classes"),
@@ -276,6 +283,14 @@ def test_bad_manifest_exits_3(tmp_path, capsys):
         "cut-ppm": ({"base_classes": ["a"], "new_classes": ["b"],
                      "images": {"a": {"train": ["cut.ppm"]}, "b": split}},
                     "truncated PPM"),
+        "nan-npt": ({"base_classes": ["a"], "new_classes": ["b"],
+                     "images": {"a": {"train": ["nan.npt"], "test": ["ok.npt"]},
+                                "b": ok}},
+                    "nan.npt: image holds non-finite"),
+        "maxval-0": ({"base_classes": ["a"], "new_classes": ["b"],
+                      "images": {"a": {"train": ["zero.ppm"],
+                                       "test": ["ok.npt"]}, "b": ok}},
+                     "zero.ppm: image holds non-finite"),
     }
     cases = [("/missing/manifest.json", "cannot read manifest")]
     for name, (doc, message) in docs.items():

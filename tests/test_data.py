@@ -47,6 +47,18 @@ def test_ppm_decoding(tmp_path):
     assert img[0, 0, 1] == pytest.approx(1 / 255)
 
 
+def test_non_finite_pixels_rejected(tmp_path):
+    img = np.zeros((4, 4, 3))
+    img[1, 2, 0] = np.nan
+    npt = tmp_path / "nan.npt"
+    write_image_npt(npt, img)
+    ppm = tmp_path / "zero.ppm"       # maxval 0 decodes to 0/0 and x/0
+    ppm.write_bytes(b"P6\n2 2\n0\n" + bytes(range(12)))
+    for path in (npt, ppm):
+        with pytest.raises(DataError, match=f"{path.name}: .*non-finite"):
+            read_image(path)
+
+
 def test_unknown_format_rejected(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(b"GIF89a....")

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lasp.tokenizer import END_ID, START_ID, Tokenizer, default_word_list
+from lasp.encoders import TextEncoder
+from lasp.tokenizer import (END_ID, HASH_BAND, START_ID, VOCAB_SIZE, Tokenizer,
+                            default_word_list)
 
 words_st = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1,
                    max_size=12)
@@ -16,7 +18,7 @@ def tok():
 def test_default_word_list_fits_vocab(tok):
     words = default_word_list()
     assert len(set(words)) == len(words)
-    assert all(tok.vocab[w] < tok.vocab_size - tok.hash_band for w in words)
+    assert all(tok.vocab[w] < VOCAB_SIZE - HASH_BAND for w in words)
 
 
 def test_tokenize_brackets_with_start_end(tok):
@@ -42,9 +44,9 @@ def test_unknown_words_hash_into_band(word):
     tok = Tokenizer(words=["known"])
     wid = tok.word_id(word)
     if word == "known":
-        assert wid < tok.vocab_size - tok.hash_band
+        assert wid < VOCAB_SIZE - HASH_BAND
     else:
-        assert tok.vocab_size - tok.hash_band <= wid < tok.vocab_size
+        assert VOCAB_SIZE - HASH_BAND <= wid < VOCAB_SIZE
 
 
 @given(words_st)
@@ -55,4 +57,11 @@ def test_word_id_deterministic(word):
 
 def test_word_list_overflow_rejected():
     with pytest.raises(ValueError):
-        Tokenizer(words=[f"w{i}" for i in range(5000)], vocab_size=4096)
+        Tokenizer(words=[f"w{i}" for i in range(5000)])
+
+
+def test_every_id_has_an_embedding_row(tok, small_enc):
+    te = TextEncoder(small_enc)
+    assert te.embedding.shape[0] == VOCAB_SIZE
+    ids = tok.tokenize("zyzzyva quux") + [VOCAB_SIZE - 1]
+    assert te.embed_ids(ids).shape == (len(ids), small_enc.d_tok)

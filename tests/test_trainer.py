@@ -329,10 +329,12 @@ def test_checkpoint_describes_its_configuration(tmp_path, small_enc):
     save_checkpoint(path, model, cfg, steps=0)
     _, meta = load_tensors(path)
     assert {k: meta[k] for k in ("groups", "m_prompts", "d_tok", "d",
+                                 "n_layers", "n_heads", "max_len",
                                  "encoder_seed", "templates")} == {
         "groups": "2", "m_prompts": "2", "d_tok": str(small_enc.d_tok),
-        "d": str(small_enc.d), "encoder_seed": str(small_enc.seed),
-        "templates": "6"}
+        "d": str(small_enc.d), "n_layers": str(small_enc.n_layers),
+        "n_heads": str(small_enc.n_heads), "max_len": str(small_enc.max_len),
+        "encoder_seed": str(small_enc.seed), "templates": "6"}
 
 
 def test_checkpoint_bitwise_reproducible(tmp_path, small_enc):
