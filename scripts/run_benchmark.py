@@ -3,35 +3,27 @@
 
 Trains the standard configuration grid (zero-shot, baseline, text-to-text,
 virtual classes, L1/L2 ablations) over several seeds and prints mean
-base/new/H accuracies.
+base/new/H accuracies. The experiment is the CLI's default configuration,
+built by ``lasp.cli.RunContext``.
 """
 
 import argparse
 
 import numpy as np
 
-from lasp.data import SyntheticDatasetSpec, make_synthetic_dataset
-from lasp.encoders import EncoderConfig
-from lasp.evaluator import evaluate_standard, harmonic_mean
-from lasp.model import build_model
-from lasp.prompts import load_template_bank, split_templates
-from lasp.trainer import TrainConfig, train_few_shot
+from lasp.cli import RunContext, resolve_config
+from lasp.evaluator import harmonic_mean
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument("--epochs", type=int, default=150)
-    ap.add_argument("--separation", type=float, default=16.0)
-    ap.add_argument("--context-shift", type=float, default=0.3)
     args = ap.parse_args(argv)
 
-    enc = EncoderConfig()
-    spec = SyntheticDatasetSpec(separation=args.separation,
-                                context_shift=args.context_shift)
-    data = make_synthetic_dataset(spec, enc, template_source="6")
-    bank = split_templates(load_template_bank("6"), 3, 0)
-    new = tuple(data.new_names)
+    ctx = RunContext(resolve_config(None, [], None))
+    schedule = dict(epochs=args.epochs, warmup_epochs=min(5, args.epochs))
+    new = tuple(ctx.new_names)
 
     # None: the untrained model scored by its hand-crafted templates
     grid = [("zero-shot", None),
@@ -45,18 +37,11 @@ def main(argv=None):
     for label, over in grid:
         accs = []
         for seed in args.seeds:
-            model = build_model(enc, bank, seed, words="a photo of a", m=4)
-            if over is not None:
-                cfg = TrainConfig(epochs=args.epochs,
-                                  warmup_epochs=min(5, args.epochs), lr=0.02,
-                                  seed=seed, **over)
-                train_few_shot(model, data.base_names,
-                               data.splits["base-train"], cfg)
-            rep = evaluate_standard(model, data.splits["base-test"],
-                                    data.splits["new-test"],
-                                    data.base_names, data.new_names,
-                                    mode="zero-shot" if over is None
-                                    else "learned")
+            if over is None:
+                rep = ctx.evaluate(ctx.model, "zero-shot")
+            else:
+                model, _, _ = ctx.train(seed=seed, **schedule, **over)
+                rep = ctx.evaluate(model)
             accs.append((rep.base_acc, rep.new_acc))
         b = float(np.mean([a for a, _ in accs]))
         n = float(np.mean([a for _, a in accs]))

@@ -50,9 +50,7 @@ DEFAULTS = {
     "test_samples": "20",
     "separation": "16.0",
     "context_shift": "0.3",
-    "shift_template": "a picture of a {}",
     "data_seed": "0",
-    "noise_seed": "100",
     "center_steps": "600",
     # model / prompts
     "templates": "6",            # 1 | 6 | 34 | 100 | path
@@ -60,7 +58,6 @@ DEFAULTS = {
     "m_prompts": "4",
     "prompt_init": "words",      # words | gauss
     "prompt_words": "a photo of a",
-    "jitter": "0.3",
     # training
     "alpha_vl": "1.0",
     "alpha_tt": "20.0",
@@ -181,7 +178,8 @@ def finish(run_dir: str, table: str, kv_lines: list[str]) -> int:
 
 class RunContext:
     """Dataset, class names, train config and model arguments resolved
-    from one config.
+    from one config: the one place that assembles the standard experiment
+    the CLI, the acceptance bench and ``scripts/run_benchmark.py`` run.
 
     Every key is parsed once, and the configured untrained model is
     built, before any data is built or loaded, so a bad value or a bad
@@ -195,7 +193,6 @@ class RunContext:
                                   f"{', '.join(allowed)}")
         self.cfg = cfg
         self.enc_cfg = EncoderConfig()
-        self.seed = _num(cfg, "seed", int)
         self.tcfg = TrainConfig(alpha_vl=_num(cfg, "alpha_vl", float),
                                 alpha_tt=_num(cfg, "alpha_tt", float),
                                 lr=_num(cfg, "lr", float),
@@ -205,15 +202,16 @@ class RunContext:
                                 shots=_num(cfg, "shots", int),
                                 groups=_num(cfg, "groups", int),
                                 ln_finetune=_flag(cfg, "ln_finetune"),
-                                seed=self.seed,
+                                seed=_num(cfg, "seed", int),
                                 loss_kind=cfg["loss_kind"],
                                 clip_norm=_num(cfg, "clip_norm", float))
         self.m = _num(cfg, "m_prompts", int)
         if self.m < 1:
             raise ConfigError("config key m_prompts must be >= 1")
-        self.jitter = _num(cfg, "jitter", float)
         self.words = cfg["prompt_words"] if cfg["prompt_init"] == "words" else None
         self.distractors = _num(cfg, "distractors", int)
+        if self.distractors < 0:
+            raise ConfigError("config key distractors must be >= 0")
         # checked even when a manifest replaces the fixture
         self.spec = SyntheticDatasetSpec(
             n_base=_num(cfg, "n_base", int),
@@ -222,10 +220,8 @@ class RunContext:
             test_samples=_num(cfg, "test_samples", int),
             separation=_num(cfg, "separation", float),
             seed=_num(cfg, "data_seed", int),
-            noise_seed=_num(cfg, "noise_seed", int),
             center_steps=_num(cfg, "center_steps", int),
             context_shift=_num(cfg, "context_shift", float),
-            shift_template=cfg["shift_template"],
         )
         # checks the template split and the prompt words across keys
         self.model = self.build_model()
@@ -256,23 +252,26 @@ class RunContext:
             return tuple(self.new_names)
         return tuple(n.strip() for n in spec.split(",") if n.strip())
 
-    def build_model(self, groups: int | None = None,
+    def build_model(self, tcfg: TrainConfig | None = None,
                     bank: TemplateBank | None = None) -> PromptedClip:
-        """Untrained model over ``bank``, or over the configured templates
-        split into ``groups`` (default: the configured group count)."""
+        """Untrained model with the prompt seed of ``tcfg`` (default: the
+        configured train config) over ``bank``, or over the configured
+        templates split into ``tcfg.groups`` groups."""
+        tcfg = tcfg or self.tcfg
         if bank is None:
-            groups = groups if groups is not None else self.tcfg.groups
             bank = load_template_bank(self.cfg["templates"])
-            if groups > 1:
-                bank = split_templates(bank, groups, 0)
-        return build_model(self.enc_cfg, bank, self.seed, words=self.words,
-                           m=self.m, jitter=self.jitter)
+            if tcfg.groups > 1:
+                bank = split_templates(bank, tcfg.groups, 0)
+        return build_model(self.enc_cfg, bank, tcfg.seed, words=self.words,
+                           m=self.m)
 
     def train(self, bank: TemplateBank | None = None, **over):
+        """Train a fresh model on the base-train split with the configured
+        train config updated by ``over`` (``seed=`` picks the run)."""
         if bank is not None:
             over["groups"] = bank.groups
         tcfg = replace(self.tcfg, **over)
-        model = self.build_model(tcfg.groups, bank)
+        model = self.build_model(tcfg, bank)
         log = train_few_shot(model, self.base_names, self.splits["base-train"],
                              tcfg)
         return model, tcfg, log
@@ -329,10 +328,10 @@ def _grid_report(rows: list[tuple[str, EvalReport]]) -> tuple[str, list[str]]:
 
 def cmd_ablate_templates(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    groups = ctx.tcfg.groups
+    groups, seed = ctx.tcfg.groups, ctx.tcfg.seed
     counts = (1, 6, 34, 100)
     banks = ([(f"hand-{n}", load_template_bank(str(n))) for n in counts]
-             + [(f"random-{n}", generate_random_templates(n, 3, 7, ctx.seed))
+             + [(f"random-{n}", generate_random_templates(n, 3, 7, seed))
                 for n in counts])
     rows = []
     for label, bank in banks:

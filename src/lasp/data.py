@@ -10,6 +10,7 @@ tightness: noise std is 1/separation.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -18,9 +19,11 @@ import numpy as np
 
 from .autodiff import Tensor, log_softmax, normalize_rows
 from .encoders import IMAGE_SHAPE, EncoderConfig
-from .errors import DataError
+from .errors import ConfigError, DataError
+from .losses import unit_rows
 from .model import PromptedClip
-from .prompts import ClassVocabulary, init_prompts, load_template_bank
+from .prompts import (ClassVocabulary, TemplateBank, init_prompts,
+                      load_template_bank)
 from .trainer import FewShotDataset
 
 # -- image files ---------------------------------------------------------------
@@ -53,10 +56,14 @@ def _decode(path, raw: bytes) -> np.ndarray:
             h, w, c = (int(x) for x in header[len(NPT_MAGIC):].split())
         except ValueError as exc:
             raise DataError(f"{path}: malformed raw-tensor header") from exc
+        if min(h, w, c) < 1:
+            raise DataError(f"{path}: raw-tensor shape {(h, w, c)} "
+                            f"is not positive")
         need = h * w * c * 8
-        if len(payload) < need:
-            raise DataError(f"{path}: truncated raw-tensor payload")
-        return np.frombuffer(payload, dtype="<f8", count=h * w * c).reshape(h, w, c).astype(np.float64)
+        if len(payload) != need:
+            raise DataError(f"{path}: raw-tensor payload of {len(payload)} "
+                            f"bytes, shape {(h, w, c)} needs {need}")
+        return np.frombuffer(payload, dtype="<f8").reshape(h, w, c).astype(np.float64)
     if raw.startswith(b"P6"):
         return _read_ppm(path, raw)
     raise DataError(f"{path}: unknown image format")
@@ -82,6 +89,11 @@ def _read_ppm(path, raw: bytes) -> np.ndarray:
         w, h, maxval = int(fields[0]), int(fields[1]), int(fields[2])
     except (ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed PPM header") from exc
+    if min(w, h) < 1:
+        raise DataError(f"{path}: PPM size {w}x{h} is not positive")
+    if maxval > 255:
+        raise DataError(f"{path}: PPM maxval {maxval} above 255 (16-bit "
+                        f"samples are not supported)")
     need = w * h * 3
     if len(raw) - i < need:
         raise DataError(f"{path}: truncated PPM payload")
@@ -161,6 +173,8 @@ def load_dataset(manifest: DatasetManifest) -> dict[str, FewShotDataset]:
 # -- synthetic fixture ---------------------------------------------------------
 
 CENTER_LR = 0.03      # Adam step size of the pixel ascent for class centers
+NOISE_SEED = 100      # cluster noise stream, independent of the spec's seed
+SHIFT_TEMPLATE = "a picture of a {}"   # out-of-bank context of new-class targets
 
 
 @dataclass
@@ -171,16 +185,23 @@ class SyntheticDatasetSpec:
     test_samples: int = 20
     separation: float = 4.0
     seed: int = 0
-    noise_seed: int = 100             # cluster noise stream, independent of seed
     center_steps: int = 600
-    context_shift: float = 0.0        # mix new-class targets toward shift_template
-    shift_template: str = "a picture of a {}"
+    context_shift: float = 0.0        # mix new-class targets toward SHIFT_TEMPLATE
 
     def __post_init__(self):
-        if self.separation <= 0:
-            raise DataError("separation must be positive")
+        for key in ("n_base", "n_new", "samples_per_class", "test_samples"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        pool = len(_class_word_pool())
+        if self.n_base + self.n_new > pool:
+            raise ConfigError(f"n_base + n_new = {self.n_base + self.n_new} "
+                              f"exceeds the {pool} class-word pool names")
+        if self.center_steps < 0:
+            raise ConfigError("center_steps must be >= 0")
+        if not math.isfinite(self.separation) or self.separation <= 0:
+            raise ConfigError("separation must be positive and finite")
         if not 0.0 <= self.context_shift <= 1.0:
-            raise DataError("context_shift must lie in [0, 1]")
+            raise ConfigError("context_shift must lie in [0, 1]")
 
 
 @dataclass
@@ -201,10 +222,6 @@ class SyntheticDataset:
 def _class_word_pool() -> list[str]:
     text = resources.files("lasp.assets").joinpath("class_words.txt").read_text("utf-8")
     return [w for w in text.split() if w]
-
-
-def _unit(a: np.ndarray) -> np.ndarray:
-    return a / np.linalg.norm(a, axis=-1, keepdims=True)
 
 
 def _aligned_centers(model: PromptedClip, targets: np.ndarray,
@@ -236,22 +253,21 @@ def _aligned_centers(model: PromptedClip, targets: np.ndarray,
 
 
 def _center_targets(probe: PromptedClip, names: list[str],
-                    spec: SyntheticDatasetSpec, enc_cfg: EncoderConfig) -> np.ndarray:
+                    spec: SyntheticDatasetSpec) -> np.ndarray:
     """Unit target directions: template-mean anchors, with new-class targets
     optionally rotated toward an out-of-bank context so hand-crafted anchors
     are imperfect for exactly the classes that have no training images."""
     anchors = probe.anchors(names)                         # (L, C, d)
-    base_dir = _unit(_unit(anchors).mean(axis=0))          # (C, d)
+    base_dir = unit_rows(unit_rows(anchors).mean(axis=0))  # (C, d)
     if spec.context_shift == 0.0:
         return base_dir
-    from .prompts import TemplateBank
-    alt = PromptedClip(enc_cfg, init_prompts(1, 1, enc_cfg.d_tok, enc_cfg.d, 0),
-                       TemplateBank([spec.shift_template]))
-    alt_dir = _unit(alt.anchors(names)[0])
+    alt = PromptedClip(probe.cfg, probe.prompt_set,
+                       TemplateBank([SHIFT_TEMPLATE]))
+    alt_dir = unit_rows(alt.anchors(names)[0])
     g = spec.context_shift
     targets = base_dir.copy()
-    targets[spec.n_base:] = _unit((1 - g) * base_dir[spec.n_base:]
-                                  + g * alt_dir[spec.n_base:])
+    targets[spec.n_base:] = unit_rows((1 - g) * base_dir[spec.n_base:]
+                                      + g * alt_dir[spec.n_base:])
     return targets
 
 
@@ -266,12 +282,12 @@ def make_synthetic_dataset(spec: SyntheticDatasetSpec,
     base_names, new_names = names[: spec.n_base], names[spec.n_base :]
     bank = load_template_bank(template_source)
     probe = PromptedClip(enc_cfg, init_prompts(1, 1, enc_cfg.d_tok, enc_cfg.d, 0), bank)
-    targets = _center_targets(probe, names, spec, enc_cfg)
+    targets = _center_targets(probe, names, spec)
     with_centers = _aligned_centers(probe, targets, spec,
                                     np.random.default_rng(spec.seed))
 
     std = 1.0 / spec.separation
-    noise_rng = np.random.default_rng(spec.noise_seed)
+    noise_rng = np.random.default_rng(NOISE_SEED)
 
     def cluster(class_idx: list[int], per_class: int, split: str) -> FewShotDataset:
         imgs, labels = [], []

@@ -8,7 +8,8 @@ import numpy as np
 
 from .autodiff import no_grad
 from .errors import InputError, ProtocolError
-from .losses import grouped_cosine_scores, template_averaged_probs
+from .losses import (grouped_cosine_scores, template_averaged_probs,
+                     unit_rows)
 from .model import PromptedClip
 from .trainer import FewShotDataset
 
@@ -125,9 +126,7 @@ def centroid_distance_matrix(model: PromptedClip,
         raise InputError("need at least two classes")
     with no_grad():
         rows = model.class_rows(class_names, with_bias=True).data
-    rows = rows / np.maximum(np.linalg.norm(rows, axis=-1, keepdims=True), 1e-12)
-    cent = rows.mean(axis=0)
-    cent = cent / np.maximum(np.linalg.norm(cent, axis=-1, keepdims=True), 1e-12)
+    cent = unit_rows(unit_rows(rows).mean(axis=0))
     dist = 1.0 - cent @ cent.T
     np.fill_diagonal(dist, 0.0)
     dist = 0.5 * (dist + dist.T)

@@ -17,9 +17,10 @@ from .prompts import TemplateBank
 LOSS_KINDS = ("ce", "l1", "l2")
 
 
-def _normalize_const(anchors: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    norm = np.sqrt((anchors * anchors).sum(axis=-1, keepdims=True))
-    return anchors / np.maximum(norm, eps)
+def unit_rows(a: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """Rows of a constant array scaled to unit length (norms floored at eps)."""
+    norm = np.sqrt((a * a).sum(axis=-1, keepdims=True))
+    return a / np.maximum(norm, eps)
 
 
 def grouped_cosine_scores(rows: Tensor, f: Tensor) -> Tensor:
@@ -53,7 +54,7 @@ def template_averaged_probs(anchors: np.ndarray, x: Tensor, tau: float) -> Tenso
     """
     if anchors.ndim != 3 or anchors.shape[0] == 0:
         raise ConfigError("need a non-empty (L, C, d) anchor stack")
-    an = _normalize_const(anchors)                        # (L, C, d)
+    an = unit_rows(anchors)                               # (L, C, d)
     cos = normalize_rows(x) @ Tensor(an).transpose(0, 2, 1)   # (L, N, C)
     return softmax(cos * (1.0 / tau), axis=-1).mean(axis=0)
 

@@ -119,19 +119,24 @@ class PromptedClip:
 
 
 def build_model(enc_cfg: EncoderConfig, bank: TemplateBank, seed: int, *,
-                words: str | None, m: int, jitter: float = 0.3) -> PromptedClip:
+                words: str | None, m: int) -> PromptedClip:
     """Fresh model with one prompt group per template group of ``bank``.
 
     ``words`` is a phrase whose first ``m`` words warm-start every group
-    (plus ``jitter`` Gaussian noise); ``None`` draws small Gaussian vectors.
+    (plus ``init_prompts_from_words``' default Gaussian jitter); ``None``
+    draws small Gaussian vectors.
     """
     if words is None:
         prompts = init_prompts(bank.groups, m, enc_cfg.d_tok, enc_cfg.d, seed)
     else:
         tok = Tokenizer(max_len=enc_cfg.max_len)
-        picked = tok.words_of(words)[:m]
+        picked = tok.words_of(words)
         if not picked:
             raise ConfigError(f"prompt words {words!r} yielded no tokens")
-        prompts = init_prompts_from_words(TextEncoder(enc_cfg), tok, picked,
-                                          bank.groups, enc_cfg.d, seed, jitter)
+        if m > len(picked):
+            raise ConfigError(f"m_prompts={m} exceeds the {len(picked)} words "
+                              f"of prompt words {words!r}")
+        prompts = init_prompts_from_words(TextEncoder(enc_cfg), tok,
+                                          picked[:m], bank.groups, enc_cfg.d,
+                                          seed)
     return PromptedClip(enc_cfg, prompts, bank)

@@ -245,12 +245,12 @@ def test_criterion_09_distractor_monotonicity(bench):
     for s in bench.SEEDS:
         plain = bench.model("lasp", s)
         aware = bench.model("laspv+distract", s)
-        wo, wd = evaluate_generalized(plain, bench.data.splits["base-test"],
-                                      bench.data.splits["new-test"],
+        wo, wd = evaluate_generalized(plain, bench.ctx.splits["base-test"],
+                                      bench.ctx.splits["new-test"],
                                       bench.base, bench.new, bench.distractors)
         _, wd_aware = evaluate_generalized(aware,
-                                           bench.data.splits["base-test"],
-                                           bench.data.splits["new-test"],
+                                           bench.ctx.splits["base-test"],
+                                           bench.ctx.splits["new-test"],
                                            bench.base, bench.new,
                                            bench.distractors)
         drops.append(mean(wo) - mean(wd))

@@ -154,6 +154,25 @@ def test_eval_non_finite_checkpoint_is_data_error(tmp_path, capsys):
                  id="train-templates-missing-file"),
     pytest.param("train", "templates=/", "Is a directory",
                  id="train-templates-directory"),
+    pytest.param("train", "n_base=0", "n_base must be >= 1", id="train-n_base-0"),
+    pytest.param("train", "n_new=0", "n_new must be >= 1", id="train-n_new-0"),
+    pytest.param("train", "samples_per_class=0",
+                 "samples_per_class must be >= 1",
+                 id="train-samples_per_class-0"),
+    pytest.param("eval", "test_samples=0", "test_samples must be >= 1",
+                 id="eval-test_samples-0"),
+    pytest.param("train", "n_base=300", "exceeds the 168 class-word pool",
+                 id="train-n_base-above-pool"),
+    pytest.param("train", "center_steps=-1", "center_steps must be >= 0",
+                 id="train-center_steps-negative"),
+    pytest.param("train", "separation=nan", "separation must be positive",
+                 id="train-separation-nan"),
+    pytest.param("train", "context_shift=1.5", "context_shift must lie",
+                 id="train-context_shift-above-1"),
+    pytest.param("train", "m_prompts=6", "m_prompts=6 exceeds the 4 words",
+                 id="train-m_prompts-above-prompt-words"),
+    pytest.param("distract", "distractors=-1", "distractors must be >= 0",
+                 id="distract-distractors-negative"),
 ])
 def test_bad_choice_key_exits_2_before_fixture(tmp_path, capsys, monkeypatch,
                                               command, setting, message):
@@ -273,6 +292,8 @@ def test_bad_manifest_exits_3(tmp_path, capsys):
     nan[3, 4, 1] = np.nan
     write_image_npt(tmp_path / "nan.npt", nan)
     (tmp_path / "zero.ppm").write_bytes(b"P6\n16 16\n0\n" + bytes(768))
+    (tmp_path / "deep.ppm").write_bytes(b"P6\n16 16\n65535\n" + bytes(1536))
+    (tmp_path / "neg.npt").write_bytes(b"NPT1 -1 16 3\n" + bytes(8 * 768))
     split = {"train": ["big.npt"], "test": ["big.npt"]}
     ok = {"train": ["ok.npt"], "test": ["ok.npt"]}
     docs = {     # manifest -> what the one-line message must name
@@ -291,6 +312,14 @@ def test_bad_manifest_exits_3(tmp_path, capsys):
                       "images": {"a": {"train": ["zero.ppm"],
                                        "test": ["ok.npt"]}, "b": ok}},
                      "zero.ppm: image holds non-finite"),
+        "16-bit-ppm": ({"base_classes": ["a"], "new_classes": ["b"],
+                        "images": {"a": {"train": ["deep.ppm"],
+                                         "test": ["ok.npt"]}, "b": ok}},
+                       "deep.ppm: PPM maxval 65535"),
+        "negative-npt": ({"base_classes": ["a"], "new_classes": ["b"],
+                          "images": {"a": {"train": ["neg.npt"],
+                                           "test": ["ok.npt"]}, "b": ok}},
+                         "neg.npt: raw-tensor shape (-1, 16, 3)"),
     }
     cases = [("/missing/manifest.json", "cannot read manifest")]
     for name, (doc, message) in docs.items():

@@ -7,7 +7,7 @@ from lasp.data import (DatasetManifest, SyntheticDatasetSpec, _class_word_pool,
                        load_dataset, load_manifest, make_synthetic_dataset,
                        read_image, write_dataset, write_image_npt)
 from lasp.encoders import EncoderConfig
-from lasp.errors import DataError
+from lasp.errors import ConfigError, DataError
 
 SMALL_ENC = EncoderConfig(d_tok=8, d=8, n_layers=1, n_heads=2, max_len=16)
 FAST = dict(n_base=2, n_new=2, samples_per_class=3, test_samples=2,
@@ -57,6 +57,31 @@ def test_non_finite_pixels_rejected(tmp_path):
     for path in (npt, ppm):
         with pytest.raises(DataError, match=f"{path.name}: .*non-finite"):
             read_image(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"P6\n2 2\n65535\n", "PPM maxval 65535"),     # 16-bit samples
+    (b"P6\n0 2\n255\n", "PPM size 0x2"),
+    (b"P6\n-1 2\n255\n", "PPM size -1x2"),
+])
+def test_ppm_header_rejected(tmp_path, header, message):
+    path = tmp_path / "x.ppm"
+    path.write_bytes(header + b"\xff" * 24)
+    with pytest.raises(DataError, match=f"x.ppm: {message}"):
+        read_image(path)
+
+
+@pytest.mark.parametrize("header, payload, message", [
+    (b"NPT1 -1 4 3\n", 24, "not positive"),
+    (b"NPT1 0 4 3\n", 0, "not positive"),
+    (b"NPT1 2 4 3\n", 25,
+     r"payload of 200 bytes, shape \(2, 4, 3\) needs 192"),
+])
+def test_npt_shape_must_match_payload(tmp_path, header, payload, message):
+    path = tmp_path / "x.npt"
+    path.write_bytes(header + np.zeros(payload).tobytes())
+    with pytest.raises(DataError, match=f"x.npt: .*{message}"):
+        read_image(path)
 
 
 def test_unknown_format_rejected(tmp_path):
@@ -111,9 +136,9 @@ def test_manifest_validation(tmp_path):
 
 
 def test_spec_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         SyntheticDatasetSpec(separation=0.0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         SyntheticDatasetSpec(context_shift=1.5)
 
 

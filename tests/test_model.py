@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from lasp.autodiff import Tensor, grad_check, no_grad
-from lasp.model import IMAGE_CHUNK
-from lasp.prompts import render_template
+from lasp.model import IMAGE_CHUNK, build_model
+from lasp.prompts import load_template_bank, render_template, split_templates
 from lasp.tokenizer import END_ID, START_ID
 
 # one- and two-token names, so class_rows encodes two length buckets
 NAMES = ["oak", "palm tree", "rocket"]
+
+
+@pytest.fixture
+def small_model(small_enc):
+    bank = split_templates(load_template_bank("6"), 2, 0)
+    return build_model(small_enc, bank, 0, words=None, m=2)
 
 
 def encode_alone(model, embeddings: np.ndarray) -> np.ndarray:
