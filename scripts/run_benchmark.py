@@ -8,21 +8,20 @@ built by ``lasp.cli.RunContext``.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
-from lasp.cli import RunContext, resolve_config
+from lasp.cli import EXIT_OK, RunContext, resolve_config, run_reporting_errors
 from lasp.evaluator import harmonic_mean
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--epochs", type=int, default=150)
-    args = ap.parse_args(argv)
-
-    ctx = RunContext(resolve_config(None, [], None))
-    schedule = dict(epochs=args.epochs, warmup_epochs=min(5, args.epochs))
+def run_grid(seeds: list[int], epochs: int) -> int:
+    # the schedule is part of the config, so a bad one fails before the
+    # fixture is built
+    ctx = RunContext(resolve_config(None, [f"epochs={epochs}",
+                                           f"warmup_epochs={min(5, epochs)}"],
+                                    None))
     new = tuple(ctx.new_names)
 
     # None: the untrained model scored by its hand-crafted templates
@@ -36,17 +35,26 @@ def main(argv=None):
     print(f"{'config':10s} {'base':>7} {'new':>7} {'H':>7}")
     for label, over in grid:
         accs = []
-        for seed in args.seeds:
+        for seed in seeds:
             if over is None:
                 rep = ctx.evaluate(ctx.model, "zero-shot")
             else:
-                model, _, _ = ctx.train(seed=seed, **schedule, **over)
+                model, _, _ = ctx.train(seed=seed, **over)
                 rep = ctx.evaluate(model)
             accs.append((rep.base_acc, rep.new_acc))
         b = float(np.mean([a for a, _ in accs]))
         n = float(np.mean([a for _, a in accs]))
         print(f"{label:10s} {b:7.2f} {n:7.2f} {harmonic_mean(b, n):7.2f}")
+    return EXIT_OK
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    ap.add_argument("--epochs", type=int, default=150)
+    args = ap.parse_args(argv)
+    return run_reporting_errors(run_grid, args.seeds, args.epochs)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

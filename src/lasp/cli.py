@@ -413,8 +413,13 @@ def cmd_report(cfg: dict[str, str], run_dir: str) -> int:
     path = os.path.join(run_dir, "report.kv")
     if not os.path.exists(path):
         raise DataError(f"no report.kv in {run_dir}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise DataError(f"{path} holds no report lines")
     rows = []
     for ln in lines:
         parts = [p.strip() for p in ln.split(",")]
@@ -457,18 +462,13 @@ HANDLERS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_reporting_errors(command, *args) -> int:
+    """Return ``command(*args)``. If it raises a lasp error, print the error
+    as one ``error:`` line on stderr and return that error's exit code
+    instead. The CLI and the scripts under ``scripts/`` all exit this way.
+    """
     try:
-        cfg = resolve_config(args.config, args.set, args.seed)
-        if args.command == "report":
-            if not args.out:
-                raise ConfigError("report needs --out pointing at a run directory")
-            return cmd_report(cfg, args.out)
-        run_dir = run_directory(args.out, args.command, cfg)
-        write_config_echo(run_dir, cfg, args.command)
-        return HANDLERS[args.command](cfg, run_dir)
+        return command(*args)
     except (ConfigError, TemplateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -478,6 +478,21 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    cfg = resolve_config(args.config, args.set, args.seed)
+    if args.command == "report":
+        if not args.out:
+            raise ConfigError("report needs --out pointing at a run directory")
+        return cmd_report(cfg, args.out)
+    run_dir = run_directory(args.out, args.command, cfg)
+    write_config_echo(run_dir, cfg, args.command)
+    return HANDLERS[args.command](cfg, run_dir)
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run_reporting_errors(_dispatch, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

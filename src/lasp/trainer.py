@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
+import platform
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +103,34 @@ def _overflow_is_divergence(step: int, stage: str):
     except FloatingPointError as exc:
         raise DivergenceError(step, None, f"overflow in the {stage}",
                               terms=str(exc)) from None
+
+
+# glibc mallopt parameters (name, number in malloc.h) and the values fit sets
+_HEAP_SETTINGS = (("M_TRIM_THRESHOLD", -1, 256 << 20),
+                  ("M_MMAP_THRESHOLD", -3, 32 << 20))
+
+
+def _keep_freed_heap() -> None:
+    """Keep the memory a train step frees in this process's heap (glibc only).
+
+    A step frees a few MB of tape buffers. By default glibc trims the top
+    of the heap back to the OS, and the next step faults the same pages in
+    again. A trim threshold of 256 MB stops that. Setting any threshold also
+    turns off glibc's dynamic mmap threshold, after which the vision tower's
+    ~560 KB activations would be mmapped and unmapped every step, so the
+    mmap threshold is raised to 32 MB as well. Neither is ever undone.
+    Calling this again sets the same values; off glibc it does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for name, param, value in _HEAP_SETTINGS:
+        if mallopt(param, value) != 1:
+            # the numbers do not depend on it; only time and faults do
+            warnings.warn(f"glibc refused mallopt({name}, {value})",
+                          RuntimeWarning, stacklevel=3)
 
 
 @dataclass
@@ -207,7 +238,17 @@ class Trainer:
 
     def fit(self, train_set: FewShotDataset) -> TrainLog:
         """Train over ``train_set``. When the vision tower is frozen, its
-        features are encoded once here and each step gets its rows."""
+        features are encoded once here and each step gets its rows.
+
+        On glibc, a fit first raises the allocator's trim threshold (to
+        256 MB) and mmap threshold (to 32 MB) for the whole process, and
+        leaves them raised: freed step buffers then stay in the heap
+        instead of going back to the OS and faulting in again next step.
+        The trim threshold alone would regress vision-tower steps, because
+        setting it turns off glibc's dynamic mmap threshold. Other C
+        libraries are left alone. No number a fit computes depends on this.
+        """
+        _keep_freed_heap()
         cfg = self.config
         inputs = train_set.images
         if cfg.alpha_vl != 0.0 and not cfg.ln_finetune:

@@ -268,6 +268,24 @@ def test_report_round_trip(tmp_path, capsys):
     assert "base_acc" in printed
 
 
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"", "holds no report lines", id="empty"),
+    pytest.param(None, "Is a directory", id="directory"),
+    pytest.param("base_acc, caf\xe9, 1.0\n".encode("latin-1"),
+                 "can't decode byte 0xe9", id="latin-1"),
+])
+def test_report_of_unreadable_kv_exits_3(tmp_path, capsys, content, message):
+    kv = tmp_path / "report.kv"
+    if content is None:
+        kv.mkdir()
+    else:
+        kv.write_bytes(content)
+    assert main(["report", "--out", str(tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_report_without_out_is_usage_error():
     assert main(["report"]) == EXIT_USAGE
 

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import lasp.cli
+from lasp.cli import EXIT_USAGE
 from lasp.data import load_dataset, load_manifest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -33,3 +35,21 @@ def test_make_fixture_smoke(tmp_path, capsys):
     assert [len(splits[k]) for k in ("base-train", "base-test", "new-test")] \
         == [40, 40, 40]
     assert all(ds.images.shape[1:] == (16, 16, 3) for ds in splits.values())
+
+
+def test_make_fixture_bad_value_exits_2(tmp_path, capsys):
+    code = load_script("make_fixture").main([str(tmp_path), "--n-base", "0"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: n_base must be >= 1\n"
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_run_benchmark_bad_epochs_exits_2_before_fixture(monkeypatch, capsys):
+    def no_fixture(*a, **k):
+        raise AssertionError("fixture built before the schedule was checked")
+    monkeypatch.setattr(lasp.cli, "make_synthetic_dataset", no_fixture)
+    code = load_script("run_benchmark").main(["--seeds", "0", "--epochs", "-1"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rates and counts must be positive\n"

@@ -1,8 +1,17 @@
+import ctypes
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import lasp
+import lasp.trainer
 from lasp.autodiff import no_grad
 from lasp.encoders import EncoderConfig
 from lasp.errors import ConfigError, DataError, DivergenceError, InputError
@@ -125,6 +134,80 @@ def test_fit_changes_prompts_and_logs(small_enc):
     assert not np.array_equal(before, model.prompt_set.vectors.data)
     assert len(log.rows) == 2 * 3   # 9 samples / batch 4 -> 3 steps/epoch
     assert all(np.isfinite(r[-1]) for r in log.rows)
+
+
+# Minor page faults per step over a second fit of a train-text-sized set-up
+# (default encoder, G = 3, 10 base + 20 virtual names, batch 16).
+FAULTS_PER_STEP = """
+import resource
+import numpy as np
+from lasp.data import _class_word_pool
+from lasp.encoders import IMAGE_SHAPE, EncoderConfig
+from lasp.model import build_model
+from lasp.prompts import ClassVocabulary, load_template_bank, split_templates
+from lasp.trainer import FewShotDataset, TrainConfig, Trainer
+
+names = _class_word_pool()[:30]
+model = build_model(EncoderConfig(), split_templates(load_template_bank("6"),
+                    3, 0), 0, words=None, m=4)
+cfg = TrainConfig(epochs=5, warmup_epochs=0, lr=0.02, batch_size=16, groups=3,
+                  virtual_classes=tuple(names[10:]))
+trainer = Trainer(model, ClassVocabulary(names[:10]), cfg)
+rng = np.random.default_rng(0)
+data = FewShotDataset(rng.random((160,) + IMAGE_SHAPE),
+                      np.repeat(np.arange(10), 16), "base-train")
+trainer.fit(data)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+log = trainer.fit(data)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print((after - before) / len(log.rows))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator settings exist on glibc only")
+def test_fit_keeps_freed_step_buffers_in_the_heap():
+    # In a fresh process: an earlier test's fit has already raised the
+    # thresholds in this one. Without them, glibc returns a step's freed
+    # buffers to the OS and the next step faults them in again: about
+    # 1,200 faults a step.
+    src = str(Path(lasp.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (
+                   src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                          FAULTS_PER_STEP], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 100
+
+
+def test_fit_leaves_another_libc_alone(small_enc, monkeypatch):
+    def no_native_call(*a, **k):
+        raise AssertionError("touched the C library off glibc")
+    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("musl", "1.2"))
+    monkeypatch.setattr(ctypes, "CDLL", no_native_call)
+    lasp.trainer._keep_freed_heap()
+    model, trainer, _ = tiny_setup(small_enc, epochs=2)
+    before = model.prompt_set.vectors.data.copy()
+    log = trainer.fit(tiny_data())
+    assert len(log.rows) == 6
+    assert not np.array_equal(before, model.prompt_set.vectors.data)
+
+
+def test_a_refused_heap_setting_warns(monkeypatch):
+    calls = []
+
+    def refuse(param, value):
+        calls.append((param, value))
+        return 0
+    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("glibc", "2.36"))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
+        mallopt=refuse))
+    with pytest.warns(RuntimeWarning, match="refused mallopt") as caught:
+        lasp.trainer._keep_freed_heap()
+    assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
+    assert len(caught) == 2
 
 
 def test_fit_is_deterministic(small_enc):
