@@ -14,11 +14,14 @@ import numpy as np
 
 from lasp.cli import EXIT_OK, RunContext, resolve_config, run_reporting_errors
 from lasp.evaluator import harmonic_mean
+from lasp.trainer import TrainConfig
 
 
 def run_grid(seeds: list[int], epochs: int) -> int:
-    # the schedule is part of the config, so a bad one fails before the
-    # fixture is built
+    # the seeds and the schedule are checked by TrainConfig, so a bad one
+    # fails before the fixture is built
+    for seed in seeds:
+        TrainConfig(seed=seed)
     ctx = RunContext(resolve_config(None, [f"epochs={epochs}",
                                            f"warmup_epochs={min(5, epochs)}"],
                                     None))

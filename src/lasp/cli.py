@@ -1,10 +1,13 @@
-"""Command-line front end: training, evaluation, ablations, reports.
+"""Command-line front end: training, evaluation, ablations, reports, and
+writing the fixture to files.
 
 Configuration is a flat ``key = value`` text file; every key has a default
 so a config file is optional. ``--set key=value`` overrides win over the
 file, ``--seed`` wins over both for the seed. Each run writes its resolved
 configuration to ``config.echo`` inside the run directory, and nothing is
-written outside that directory.
+written outside that directory. ``lasp fixture --out D`` writes the
+configured dataset's splits to ``D`` as image files plus ``manifest.json``;
+``--set manifest=D/manifest.json`` then runs any command on them.
 
 Exit codes: 0 ok, 2 usage/config error, 3 data error, 4 divergence.
 """
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .data import (SyntheticDatasetSpec, load_dataset, load_manifest,
-                   make_synthetic_dataset, _class_word_pool)
+                   make_synthetic_dataset, write_dataset, _class_word_pool)
 from .encoders import IMAGE_SHAPE, EncoderConfig
 from .errors import (ConfigError, DataError, DivergenceError, InputError,
                      ProtocolError, TemplateError)
@@ -38,7 +41,7 @@ EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
 
 COMMANDS = ("train", "eval", "ablate-templates", "ablate-loss",
-            "ablate-components", "distract", "report")
+            "ablate-components", "distract", "fixture", "report")
 PROMPT_INITS = ("words", "gauss")
 
 DEFAULTS = {
@@ -145,8 +148,10 @@ def run_directory(out: str | None, command: str, cfg: dict[str, str]) -> str:
     else:
         root = os.environ.get("LASP_OUT_ROOT", "runs")
         path = os.path.join(root, f"{command}-seed{cfg['seed']}")
-    os.makedirs(path, exist_ok=True)
-    os.makedirs(os.path.join(path, "matrices"), exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create run directory {path}: {exc}") from exc
     return path
 
 
@@ -164,6 +169,7 @@ def write_report(run_dir: str, table: str, kv_lines: list[str]):
 
 
 def write_matrix(run_dir: str, name: str, matrix: np.ndarray):
+    os.makedirs(os.path.join(run_dir, "matrices"), exist_ok=True)
     np.savetxt(os.path.join(run_dir, "matrices", name), matrix, fmt="%.8f")
 
 
@@ -177,9 +183,10 @@ def finish(run_dir: str, table: str, kv_lines: list[str]) -> int:
 
 
 class RunContext:
-    """Dataset, class names, train config and model arguments resolved
-    from one config: the one place that assembles the standard experiment
-    the CLI, the acceptance bench and ``scripts/run_benchmark.py`` run.
+    """Dataset, class names, distractor names, train config and model
+    arguments resolved from one config: the one place that assembles the
+    standard experiment the CLI, the acceptance bench and
+    ``scripts/run_benchmark.py`` run.
 
     Every key is parsed once, and the configured untrained model is
     built, before any data is built or loaded, so a bad value or a bad
@@ -251,6 +258,19 @@ class RunContext:
         if spec == "new":
             return tuple(self.new_names)
         return tuple(n.strip() for n in spec.split(",") if n.strip())
+
+    def distractor_names(self) -> list[str]:
+        """The first ``distractors`` names of the class-word pool permuted
+        by ``data_seed`` that are not split names. On the synthetic fixture
+        this continues the fixture's own draw of its split names."""
+        used = set(self.base_names) | set(self.new_names)
+        pool = _class_word_pool()
+        order = np.random.default_rng(self.spec.seed).permutation(len(pool))
+        names = [pool[int(i)] for i in order if pool[int(i)] not in used]
+        if len(names) < self.distractors:
+            raise DataError(f"not enough pool words for {self.distractors} "
+                            f"distractors: {len(names)} are not split names")
+        return names[:self.distractors]
 
     def build_model(self, tcfg: TrainConfig | None = None,
                     bank: TemplateBank | None = None) -> PromptedClip:
@@ -378,14 +398,7 @@ def cmd_ablate_components(cfg: dict[str, str], run_dir: str) -> int:
 
 def cmd_distract(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    n_extra = ctx.distractors
-    used = set(ctx.base_names) | set(ctx.new_names)
-    pool = [w for w in _class_word_pool() if w not in used]
-    order = np.random.default_rng(ctx.spec.seed).permutation(len(pool))
-    distractors = [pool[int(i)] for i in order[:n_extra]]
-    if len(distractors) < n_extra:
-        raise DataError("not enough pool words for the requested distractors")
-
+    distractors = ctx.distractor_names()
     plain, _, _ = ctx.train(virtual_classes=())
     aware, _, _ = ctx.train(virtual_classes=tuple(ctx.new_names)
                                             + tuple(distractors))
@@ -407,6 +420,16 @@ def cmd_distract(cfg: dict[str, str], run_dir: str) -> int:
     kv += [f"distractor_drop, all, {drop:.4f}",
            f"distractor_recovered, all, {recovered:.4f}"]
     return finish(run_dir, table, kv)
+
+
+def cmd_fixture(cfg: dict[str, str], run_dir: str) -> int:
+    """Write the configured dataset's splits into the run directory."""
+    ctx = RunContext(cfg)
+    path = write_dataset(run_dir, ctx.splits, ctx.base_names, ctx.new_names)
+    print(f"wrote {path}")
+    print(f"base classes: {', '.join(ctx.base_names)}")
+    print(f"new classes:  {', '.join(ctx.new_names)}")
+    return EXIT_OK
 
 
 def cmd_report(cfg: dict[str, str], run_dir: str) -> int:
@@ -458,6 +481,7 @@ HANDLERS = {
     "ablate-loss": cmd_ablate_loss,
     "ablate-components": cmd_ablate_components,
     "distract": cmd_distract,
+    "fixture": cmd_fixture,
     "report": cmd_report,
 }
 

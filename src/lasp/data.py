@@ -198,6 +198,8 @@ class SyntheticDatasetSpec:
                               f"exceeds the {pool} class-word pool names")
         if self.center_steps < 0:
             raise ConfigError("center_steps must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("fixture seed must be >= 0")
         if not math.isfinite(self.separation) or self.separation <= 0:
             raise ConfigError("separation must be positive and finite")
         if not 0.0 <= self.context_shift <= 1.0:
@@ -309,13 +311,15 @@ def make_synthetic_dataset(spec: SyntheticDatasetSpec,
     return SyntheticDataset(vocab, splits, centers=with_centers)
 
 
-def write_dataset(out_dir, data: SyntheticDataset) -> str:
-    """Persist a synthetic dataset as image files plus a JSON manifest."""
+def write_dataset(out_dir, splits: dict[str, FewShotDataset],
+                  base_names: list[str], new_names: list[str]) -> str:
+    """Persist the three splits as image files plus a JSON manifest that
+    ``load_manifest``/``load_dataset`` read back; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     images: dict[str, dict[str, list[str]]] = {}
 
     def dump(split: str, names: list[str], part: str):
-        ds = data.splits[split]
+        ds = splits[split]
         for i, (img, lab) in enumerate(zip(ds.images, ds.labels)):
             name = names[int(lab)]
             rel = os.path.join(name, f"{part}_{i:04d}.npt")
@@ -323,12 +327,12 @@ def write_dataset(out_dir, data: SyntheticDataset) -> str:
             write_image_npt(os.path.join(out_dir, rel), img)
             images.setdefault(name, {}).setdefault(part, []).append(rel)
 
-    dump("base-train", data.base_names, "train")
-    dump("base-test", data.base_names, "test")
-    dump("new-test", data.new_names, "test")
+    dump("base-train", base_names, "train")
+    dump("base-test", base_names, "test")
+    dump("new-test", new_names, "test")
     manifest = {
-        "base_classes": data.base_names,
-        "new_classes": data.new_names,
+        "base_classes": base_names,
+        "new_classes": new_names,
         "images": images,
     }
     path = os.path.join(out_dir, "manifest.json")

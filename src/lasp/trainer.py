@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigError("clip_norm must be positive (use inf to disable)")
         if self.shots < 1 or self.groups < 1:
             raise ConfigError("shots and groups must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.warmup_epochs < 0 or self.warmup_epochs > max(self.epochs, 1):
             raise ConfigError("warmup_epochs out of range")
         if self.loss_kind not in LOSS_KINDS:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lasp.cli import RunContext, resolve_config
-from lasp.data import _class_word_pool
 from lasp.encoders import EncoderConfig
 from lasp.model import PromptedClip
 
@@ -31,10 +30,7 @@ class AcceptanceBench:
         self.ctx = RunContext(resolve_config(None, [], None))
         self.base = self.ctx.base_names
         self.new = self.ctx.new_names
-        pool = _class_word_pool()
-        order = np.random.default_rng(0).permutation(len(pool))
-        picked = [pool[int(i)] for i in order]
-        self.distractors = picked[20:30]
+        self.distractors = self.ctx.distractor_names()
         self.dataset_time = time.monotonic() - t0
         self._models = {}
 

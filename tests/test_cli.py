@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from lasp.cli import (DEFAULTS, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE,
-                      main, parse_config_text, resolve_config)
+                      RunContext, main, parse_config_text, resolve_config)
+from lasp.data import (_class_word_pool, load_dataset, load_manifest,
+                       write_image_npt)
 from lasp.errors import ConfigError, DataError
 from lasp.serialization import load_tensors, save_tensors
 
@@ -71,7 +73,6 @@ def test_train_epochs_zero_checkpoint_equals_init(tmp_path):
                       tmp_path, "zero")
     assert code0 == EXIT_OK
     named, _ = load_tensors(out0 / "checkpoint.bin")
-    from lasp.cli import RunContext
     # rebuild the untrained prompts the same way the CLI does
     ctx = RunContext(resolve_config(None, FAST[1::2], 1))
     model = ctx.build_model()
@@ -173,6 +174,12 @@ def test_eval_non_finite_checkpoint_is_data_error(tmp_path, capsys):
                  id="train-m_prompts-above-prompt-words"),
     pytest.param("distract", "distractors=-1", "distractors must be >= 0",
                  id="distract-distractors-negative"),
+    pytest.param("train", "seed=-1", "seed must be >= 0",
+                 id="train-seed-negative"),
+    pytest.param("fixture", "data_seed=-1", "fixture seed must be >= 0",
+                 id="fixture-data_seed-negative"),
+    pytest.param("fixture", "n_base=0", "n_base must be >= 1",
+                 id="fixture-n_base-0"),
 ])
 def test_bad_choice_key_exits_2_before_fixture(tmp_path, capsys, monkeypatch,
                                               command, setting, message):
@@ -259,6 +266,88 @@ def test_distract_reports_drop_and_recovery(tmp_path):
     assert "distractor_drop" in kv and "distractor_recovered" in kv
 
 
+def test_distract_needs_enough_pool_words(tmp_path, capsys):
+    code, _ = run(["distract"] + FAST + ["--set", "distractors=200"], tmp_path)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not enough pool words" in err
+
+
+def pool_order(seed=0):
+    pool = _class_word_pool()
+    return [pool[int(i)] for i in np.random.default_rng(seed).permutation(len(pool))]
+
+
+def test_distractors_continue_the_fixture_draw():
+    ctx = RunContext(resolve_config(None, FAST[1::2] + ["distractors=2"], None))
+    order = pool_order()
+    assert ctx.base_names + ctx.new_names == order[:4]
+    assert ctx.distractor_names() == order[4:6]
+
+
+def test_distractors_never_name_a_manifest_class(tmp_path):
+    order = pool_order()
+    write_image_npt(tmp_path / "ok.npt", np.zeros((16, 16, 3)))
+    ok = {"train": ["ok.npt"], "test": ["ok.npt"]}
+    # the manifest takes the names the permutation draws first
+    base, new = order[0], order[1]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"base_classes": [base], "new_classes": [new],
+                                "images": {base: ok, new: ok}}))
+    over = FAST[1::2] + [f"manifest={path}"]
+    ctx = RunContext(resolve_config(None, over + ["distractors=2"], None))
+    assert ctx.distractor_names() == order[2:4]
+    every = RunContext(resolve_config(None, over + ["distractors=166"], None))
+    assert every.distractor_names() == order[2:]
+    too_many = RunContext(resolve_config(None, over + ["distractors=167"], None))
+    with pytest.raises(DataError, match="not enough pool words"):
+        too_many.distractor_names()
+
+
+def test_fixture_writes_dataset(tmp_path, capsys):
+    code, out = run(["fixture"] + FAST, tmp_path)
+    assert code == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"wrote {out / 'manifest.json'}"
+    manifest = load_manifest(out / "manifest.json")
+    assert printed[1:] == [f"base classes: {', '.join(manifest.base_classes)}",
+                           f"new classes:  {', '.join(manifest.new_classes)}"]
+    assert len(manifest.base_classes) == len(manifest.new_classes) == 2
+    splits = load_dataset(manifest)
+    assert [len(splits[k]) for k in ("base-train", "base-test", "new-test")] \
+        == [6, 4, 4]
+    assert all(ds.images.shape[1:] == (16, 16, 3) for ds in splits.values())
+    assert "command = fixture" in (out / "config.echo").read_text()
+    assert not (out / "matrices").exists()
+
+
+@pytest.mark.parametrize("mode", ["learned", "zero-shot"])
+def test_eval_on_written_fixture_matches_in_memory(tmp_path, mode):
+    code, data = run(["fixture"] + FAST, tmp_path, "data")
+    assert code == EXIT_OK
+    evals = ["eval", "--seed", "0"] + FAST + ["--set", f"mode={mode}"]
+    code, mem = run(evals, tmp_path, "mem")
+    assert code == EXIT_OK
+    code, files = run(evals + ["--set", f"manifest={data / 'manifest.json'}"],
+                      tmp_path, "files")
+    assert code == EXIT_OK
+    assert (files / "report.kv").read_bytes() == (mem / "report.kv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "fixture"])
+def test_out_naming_a_file_exits_3(tmp_path, capsys, monkeypatch, command):
+    import lasp.cli
+    def no_fixture(*a, **k):
+        raise AssertionError("fixture built for an unusable run directory")
+    monkeypatch.setattr(lasp.cli, "make_synthetic_dataset", no_fixture)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main([command, "--out", str(afile)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"cannot create run directory {afile}" in err
+    assert afile.read_text() == ""
+
+
 def test_report_round_trip(tmp_path, capsys):
     code, out = run(["train", "--seed", "0"] + FAST, tmp_path)
     assert code == EXIT_OK
@@ -302,7 +391,6 @@ def test_unknown_config_key_exits_2(tmp_path):
 
 
 def test_bad_manifest_exits_3(tmp_path, capsys):
-    from lasp.data import write_image_npt
     write_image_npt(tmp_path / "big.npt", np.zeros((32, 32, 3)))
     (tmp_path / "cut.ppm").write_bytes(b"P6\n16 16\n255\n" + bytes(100))
     write_image_npt(tmp_path / "ok.npt", np.zeros((16, 16, 3)))

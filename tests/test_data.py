@@ -192,7 +192,8 @@ def test_separation_controls_noise_scale():
 def test_write_then_load_round_trip(tmp_path):
     data = make_synthetic_dataset(SyntheticDatasetSpec(seed=2, **FAST),
                                   SMALL_ENC, template_source="1")
-    manifest_path = write_dataset(tmp_path / "ds", data)
+    manifest_path = write_dataset(tmp_path / "ds", data.splits,
+                                  data.base_names, data.new_names)
     manifest = load_manifest(manifest_path)
     assert manifest.base_classes == data.base_names
     assert manifest.new_classes == data.new_names
