@@ -23,26 +23,24 @@ import numpy as np
 
 from . import __version__
 from .data import (SyntheticDatasetSpec, load_dataset, load_manifest,
-                   make_synthetic_dataset, write_dataset, _class_word_pool)
-from .encoders import IMAGE_SHAPE, EncoderConfig
+                   make_synthetic_dataset, permuted_class_words, write_dataset)
+from .encoders import IMAGE_SHAPE, EncoderConfig, TextEncoder
 from .errors import (ConfigError, DataError, DivergenceError, InputError,
                      ProtocolError, TemplateError)
 from .evaluator import (MODES, EvalReport, centroid_distance_matrix,
                         evaluate_generalized, evaluate_standard)
-from .model import PromptedClip, build_model
-from .prompts import (TemplateBank, generate_random_templates,
+from .model import PromptedClip
+from .prompts import (ClassVocabulary, TemplateBank, generate_random_templates,
+                      init_prompts, init_prompts_from_words,
                       load_template_bank, split_templates)
-from .trainer import (TrainConfig, load_checkpoint, save_checkpoint,
-                      train_few_shot)
+from .tokenizer import Tokenizer
+from .trainer import (TrainConfig, Trainer, load_checkpoint, sample_few_shot,
+                      save_checkpoint)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
-
-COMMANDS = ("train", "eval", "ablate-templates", "ablate-loss",
-            "ablate-components", "distract", "fixture", "report")
-PROMPT_INITS = ("words", "gauss")
 
 DEFAULTS = {
     # dataset
@@ -59,8 +57,7 @@ DEFAULTS = {
     "templates": "6",            # 1 | 6 | 34 | 100 | path
     "groups": "3",
     "m_prompts": "4",
-    "prompt_init": "words",      # words | gauss
-    "prompt_words": "a photo of a",
+    "prompt_words": "a photo of a",   # empty -> Gaussian vectors
     # training
     "alpha_vl": "1.0",
     "alpha_tt": "20.0",
@@ -194,10 +191,9 @@ class RunContext:
     """
 
     def __init__(self, cfg: dict[str, str]):
-        for key, allowed in (("mode", MODES), ("prompt_init", PROMPT_INITS)):
-            if cfg[key] not in allowed:
-                raise ConfigError(f"config key {key}={cfg[key]!r} is not one of "
-                                  f"{', '.join(allowed)}")
+        if cfg["mode"] not in MODES:
+            raise ConfigError(f"config key mode={cfg['mode']!r} is not one of "
+                              f"{', '.join(MODES)}")
         self.cfg = cfg
         self.enc_cfg = EncoderConfig()
         self.tcfg = TrainConfig(alpha_vl=_num(cfg, "alpha_vl", float),
@@ -215,7 +211,18 @@ class RunContext:
         self.m = _num(cfg, "m_prompts", int)
         if self.m < 1:
             raise ConfigError("config key m_prompts must be >= 1")
-        self.words = cfg["prompt_words"] if cfg["prompt_init"] == "words" else None
+        if self.m > self.enc_cfg.max_len - 3:
+            raise ConfigError(f"m_prompts={self.m} leaves no room for a class "
+                              f"name: start, prompts, name and end must fit "
+                              f"in {self.enc_cfg.max_len} tokens")
+        phrase = cfg["prompt_words"]
+        words = Tokenizer(max_len=self.enc_cfg.max_len).words_of(phrase)
+        if phrase and not words:
+            raise ConfigError(f"prompt words {phrase!r} yielded no tokens")
+        if words and self.m > len(words):
+            raise ConfigError(f"m_prompts={self.m} exceeds the {len(words)} "
+                              f"words of prompt words {phrase!r}")
+        self.words = words[:self.m]
         self.distractors = _num(cfg, "distractors", int)
         if self.distractors < 0:
             raise ConfigError("config key distractors must be >= 0")
@@ -230,7 +237,12 @@ class RunContext:
             center_steps=_num(cfg, "center_steps", int),
             context_shift=_num(cfg, "context_shift", float),
         )
-        # checks the template split and the prompt words across keys
+        if not cfg["manifest"] and self.spec.n_base < 2:
+            raise ConfigError("n_base must be >= 2 to classify base images")
+        if not cfg["manifest"] and self.tcfg.shots > self.spec.samples_per_class:
+            raise ConfigError(f"shots={self.tcfg.shots} exceeds samples_per_class"
+                              f"={self.spec.samples_per_class}")
+        # checks the template split across keys
         self.model = self.build_model()
         if cfg["manifest"]:
             manifest = load_manifest(cfg["manifest"])
@@ -240,6 +252,9 @@ class RunContext:
                     raise DataError(f"{ds.split} images have shape "
                                     f"{ds.images.shape[1:]}, the encoder takes "
                                     f"{IMAGE_SHAPE}")
+            if len(manifest.base_classes) < 2:
+                raise DataError(f"manifest {cfg['manifest']} has one base "
+                                f"class; it takes two to classify base images")
             self.base_names = list(manifest.base_classes)
             self.new_names = list(manifest.new_classes)
         else:
@@ -248,25 +263,18 @@ class RunContext:
             self.splits = data.splits
             self.base_names = list(data.base_names)
             self.new_names = list(data.new_names)
-        self.tcfg = replace(self.tcfg,
-                            virtual_classes=self.virtual_names(cfg["virtual"]))
-
-    def virtual_names(self, spec: str) -> tuple[str, ...]:
-        spec = spec.strip()
-        if not spec:
-            return ()
-        if spec == "new":
-            return tuple(self.new_names)
-        return tuple(n.strip() for n in spec.split(",") if n.strip())
+        virtual = cfg["virtual"].strip()
+        self.tcfg = replace(self.tcfg, virtual_classes=(
+            tuple(self.new_names) if virtual == "new"
+            else tuple(n.strip() for n in virtual.split(",") if n.strip())))
 
     def distractor_names(self) -> list[str]:
         """The first ``distractors`` names of the class-word pool permuted
         by ``data_seed`` that are not split names. On the synthetic fixture
         this continues the fixture's own draw of its split names."""
         used = set(self.base_names) | set(self.new_names)
-        pool = _class_word_pool()
-        order = np.random.default_rng(self.spec.seed).permutation(len(pool))
-        names = [pool[int(i)] for i in order if pool[int(i)] not in used]
+        names = [n for n in permuted_class_words(self.spec.seed)
+                 if n not in used]
         if len(names) < self.distractors:
             raise DataError(f"not enough pool words for {self.distractors} "
                             f"distractors: {len(names)} are not split names")
@@ -276,24 +284,36 @@ class RunContext:
                     bank: TemplateBank | None = None) -> PromptedClip:
         """Untrained model with the prompt seed of ``tcfg`` (default: the
         configured train config) over ``bank``, or over the configured
-        templates split into ``tcfg.groups`` groups."""
+        templates split into ``tcfg.groups`` groups. Each group's prompts
+        start from the prompt words plus Gaussian jitter, or from small
+        Gaussian vectors when there are no prompt words."""
         tcfg = tcfg or self.tcfg
         if bank is None:
             bank = load_template_bank(self.cfg["templates"])
             if tcfg.groups > 1:
                 bank = split_templates(bank, tcfg.groups, 0)
-        return build_model(self.enc_cfg, bank, tcfg.seed, words=self.words,
-                           m=self.m)
+        enc = self.enc_cfg
+        if self.words:
+            prompts = init_prompts_from_words(
+                TextEncoder(enc), Tokenizer(max_len=enc.max_len), self.words,
+                bank.groups, enc.d, tcfg.seed)
+        else:
+            prompts = init_prompts(bank.groups, self.m, enc.d_tok, enc.d,
+                                   tcfg.seed)
+        return PromptedClip(enc, prompts, bank)
 
     def train(self, bank: TemplateBank | None = None, **over):
-        """Train a fresh model on the base-train split with the configured
-        train config updated by ``over`` (``seed=`` picks the run)."""
+        """Train a fresh model on ``shots`` images per base class with the
+        configured train config updated by ``over``. ``seed=`` picks the
+        run: it draws the initial prompts, the shots and the batch order."""
         if bank is not None:
             over["groups"] = bank.groups
         tcfg = replace(self.tcfg, **over)
         model = self.build_model(tcfg, bank)
-        log = train_few_shot(model, self.base_names, self.splits["base-train"],
-                             tcfg)
+        trainer = Trainer(model, ClassVocabulary(list(self.base_names)), tcfg)
+        pool = self.splits["base-train"]
+        log = trainer.fit(sample_few_shot(pool.images, pool.labels, tcfg.shots,
+                                          tcfg.seed))
         return model, tcfg, log
 
     def evaluate(self, model: PromptedClip, mode: str = "learned") -> EvalReport:
@@ -346,6 +366,14 @@ def _grid_report(rows: list[tuple[str, EvalReport]]) -> tuple[str, list[str]]:
     return "\n".join(table), kv
 
 
+def _grid(ctx: RunContext, run_dir: str,
+          rows: list[tuple[str, dict]]) -> int:
+    """Train and evaluate one model per ``(label, overrides)`` row, where
+    ``overrides`` are ``RunContext.train`` arguments, and report the grid."""
+    reps = [(label, ctx.evaluate(ctx.train(**over)[0])) for label, over in rows]
+    return finish(run_dir, *_grid_report(reps))
+
+
 def cmd_ablate_templates(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
     groups, seed = ctx.tcfg.groups, ctx.tcfg.seed
@@ -358,42 +386,31 @@ def cmd_ablate_templates(cfg: dict[str, str], run_dir: str) -> int:
         # a bank smaller than the group count trains a single group
         if len(bank) >= groups > 1:
             bank = split_templates(bank, groups, 0)
-        model, _, _ = ctx.train(bank=bank)
-        rows.append((label, ctx.evaluate(model)))
-    return finish(run_dir, *_grid_report(rows))
+        rows.append((label, dict(bank=bank)))
+    return _grid(ctx, run_dir, rows)
 
 
 def cmd_ablate_loss(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    rows = []
-    for kind in ("ce", "l1", "l2"):
-        model, _, _ = ctx.train(loss_kind=kind)
-        rows.append((kind, ctx.evaluate(model)))
-    return finish(run_dir, *_grid_report(rows))
+    return _grid(ctx, run_dir, [(kind, dict(loss_kind=kind))
+                                for kind in ("ce", "l1", "l2")])
 
 
 def cmd_ablate_components(cfg: dict[str, str], run_dir: str) -> int:
     """Cumulative ladder: baseline, +text-to-text, +grouped, +align, +virtual."""
     ctx = RunContext(cfg)
-    alpha_tt, groups = ctx.tcfg.alpha_tt, ctx.tcfg.groups
-    virtual = ctx.virtual_names(cfg["virtual"]) or tuple(ctx.new_names)
-    ladder = [
-        ("baseline", dict(alpha_tt=0.0, groups=1, ln_finetune=False,
-                          virtual_classes=())),
-        ("+text-to-text", dict(alpha_tt=alpha_tt, groups=1, ln_finetune=False,
+    steps = [("baseline", dict(alpha_tt=0.0, groups=1, ln_finetune=False,
                                virtual_classes=())),
-        ("+grouped", dict(alpha_tt=alpha_tt, groups=groups, ln_finetune=False,
-                          virtual_classes=())),
-        ("+align", dict(alpha_tt=alpha_tt, groups=groups, ln_finetune=True,
-                        virtual_classes=())),
-        ("+virtual", dict(alpha_tt=alpha_tt, groups=groups, ln_finetune=True,
-                          virtual_classes=virtual)),
-    ]
-    rows = []
-    for name, over in ladder:
-        model, _, _ = ctx.train(**over)
-        rows.append((name, ctx.evaluate(model)))
-    return finish(run_dir, *_grid_report(rows))
+             ("+text-to-text", dict(alpha_tt=ctx.tcfg.alpha_tt)),
+             ("+grouped", dict(groups=ctx.tcfg.groups)),
+             ("+align", dict(ln_finetune=True)),
+             ("+virtual", dict(virtual_classes=ctx.tcfg.virtual_classes
+                               or tuple(ctx.new_names)))]
+    rows, over = [], {}
+    for label, step in steps:
+        over = {**over, **step}
+        rows.append((label, over))
+    return _grid(ctx, run_dir, rows)
 
 
 def cmd_distract(cfg: dict[str, str], run_dir: str) -> int:
@@ -459,12 +476,13 @@ def cmd_report(cfg: dict[str, str], run_dir: str) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lasp",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value file")
         p.add_argument("--seed", type=int, default=None)

@@ -226,6 +226,13 @@ def _class_word_pool() -> list[str]:
     return [w for w in text.split() if w]
 
 
+def permuted_class_words(seed: int) -> list[str]:
+    """The class-word pool permuted by ``seed``: the synthetic fixture takes
+    its split names from the front, distractors come after them."""
+    pool = _class_word_pool()
+    return [pool[int(i)] for i in np.random.default_rng(seed).permutation(len(pool))]
+
+
 def _aligned_centers(model: PromptedClip, targets: np.ndarray,
                      spec: SyntheticDatasetSpec, rng) -> np.ndarray:
     """Gradient-ascend pixels so each class image is classified correctly
@@ -277,10 +284,7 @@ def make_synthetic_dataset(spec: SyntheticDatasetSpec,
                            enc_cfg: EncoderConfig | None = None,
                            template_source: str = "34") -> SyntheticDataset:
     enc_cfg = enc_cfg or EncoderConfig()
-    rng = np.random.default_rng(spec.seed)
-    pool = _class_word_pool()
-    order = rng.permutation(len(pool))
-    names = [pool[int(i)] for i in order[: spec.n_base + spec.n_new]]
+    names = permuted_class_words(spec.seed)[: spec.n_base + spec.n_new]
     base_names, new_names = names[: spec.n_base], names[spec.n_base :]
     bank = load_template_bank(template_source)
     probe = PromptedClip(enc_cfg, init_prompts(1, 1, enc_cfg.d_tok, enc_cfg.d, 0), bank)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import no_grad
+from .autodiff import Tensor, no_grad
 from .errors import InputError, ProtocolError
 from .losses import (grouped_cosine_scores, template_averaged_probs,
                      unit_rows)
@@ -24,13 +24,13 @@ def harmonic_mean(base: float, new: float) -> float:
     return 2.0 * base * new / (base + new)
 
 
-def _score_matrix(model: PromptedClip, images: np.ndarray,
+def _score_matrix(model: PromptedClip, dataset: FewShotDataset,
                   class_names: list[str], mode: str) -> np.ndarray:
     """(B, C) decision scores; argmax row-wise is the prediction."""
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
+    feats = Tensor(model.frozen_features(dataset))
     with no_grad():
-        feats = model.encode_images(images)
         if mode == "learned":
             rows = model.class_rows(class_names, with_bias=True)
             return grouped_cosine_scores(rows, feats).data
@@ -51,7 +51,7 @@ def evaluate_split(model: PromptedClip, dataset: FewShotDataset,
     labels = dataset.labels + label_offset
     if labels.min() < 0 or labels.max() >= len(class_names):
         raise ProtocolError("dataset label outside the evaluated class set")
-    scores = _score_matrix(model, dataset.images, class_names, mode)
+    scores = _score_matrix(model, dataset, class_names, mode)
     preds = np.argmax(scores, axis=1)
     correct = preds == labels
     per_class = {}

@@ -6,12 +6,12 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, concat, no_grad, stack
+from .autodiff import NumericError, Tensor, concat, no_grad, stack
 from .encoders import TAU, EncoderConfig, TextEncoder, VisionEncoder
-from .errors import ConfigError
+from .errors import DataError
 from .losses import apply_bias_correction
 from .prompts import (PromptSet, TemplateBank, assemble_learnable_prompt,
-                      init_prompts, init_prompts_from_words, render_template)
+                      render_template)
 from .tokenizer import END_ID, START_ID, Tokenizer
 
 # Largest vision pass. A pass over many more images allocates activations
@@ -117,26 +117,15 @@ class PromptedClip:
         return concat([self.vision_encoder.encode_batch(Tensor(c))
                        for c in chunks], axis=0)
 
-
-def build_model(enc_cfg: EncoderConfig, bank: TemplateBank, seed: int, *,
-                words: str | None, m: int) -> PromptedClip:
-    """Fresh model with one prompt group per template group of ``bank``.
-
-    ``words`` is a phrase whose first ``m`` words warm-start every group
-    (plus ``init_prompts_from_words``' default Gaussian jitter); ``None``
-    draws small Gaussian vectors.
-    """
-    if words is None:
-        prompts = init_prompts(bank.groups, m, enc_cfg.d_tok, enc_cfg.d, seed)
-    else:
-        tok = Tokenizer(max_len=enc_cfg.max_len)
-        picked = tok.words_of(words)
-        if not picked:
-            raise ConfigError(f"prompt words {words!r} yielded no tokens")
-        if m > len(picked):
-            raise ConfigError(f"m_prompts={m} exceeds the {len(picked)} words "
-                              f"of prompt words {words!r}")
-        prompts = init_prompts_from_words(TextEncoder(enc_cfg), tok,
-                                          picked[:m], bank.groups, enc_cfg.d,
-                                          seed)
-    return PromptedClip(enc_cfg, prompts, bank)
+    def frozen_features(self, dataset) -> np.ndarray:
+        """(N, d) features of a split's images, encoded without a tape.
+        Pixels large enough to overflow the tower are a fault of the data:
+        non-finite features raise ``DataError`` naming ``dataset.split``."""
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+            try:
+                feats = self.encode_images(dataset.images).data
+            except NumericError:    # an attention softmax met inf first
+                feats = None
+        if feats is None or not np.isfinite(feats).all():
+            raise DataError(f"{dataset.split} image features are not finite")
+        return feats

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .encoders import trainable_parameters
 from .errors import ConfigError, DataError, DivergenceError
 from .losses import (LOSS_KINDS, apply_bias_correction, combined_loss,
@@ -240,7 +240,8 @@ class Trainer:
 
     def fit(self, train_set: FewShotDataset) -> TrainLog:
         """Train over ``train_set``. When the vision tower is frozen, its
-        features are encoded once here and each step gets its rows.
+        features are encoded once here and each step gets its rows; features
+        that are not finite raise ``DataError`` before the first step.
 
         On glibc, a fit first raises the allocator's trim threshold (to
         256 MB) and mmap threshold (to 32 MB) for the whole process, and
@@ -254,8 +255,7 @@ class Trainer:
         cfg = self.config
         inputs = train_set.images
         if cfg.alpha_vl != 0.0 and not cfg.ln_finetune:
-            with no_grad():
-                inputs = self.model.encode_images(inputs).data
+            inputs = self.model.frozen_features(train_set)
         n = len(train_set)
         steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
         total_steps = cfg.epochs * steps_per_epoch
@@ -273,18 +273,6 @@ class Trainer:
                 log.append(epoch, step, lr, res)
                 step += 1
         return log
-
-
-def train_few_shot(model: PromptedClip, base_names: list[str],
-                   pool: FewShotDataset, config: TrainConfig) -> TrainLog:
-    """Train ``model`` in place on ``config.shots`` images per base class.
-
-    The shots are drawn from ``pool`` with ``config.seed``, the same seed
-    that orders the batches.
-    """
-    trainer = Trainer(model, ClassVocabulary(list(base_names)), config)
-    return trainer.fit(sample_few_shot(pool.images, pool.labels, config.shots,
-                                       config.seed))
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -6,9 +6,11 @@ import pytest
 
 from lasp.cli import (DEFAULTS, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE,
                       RunContext, main, parse_config_text, resolve_config)
+from lasp.encoders import EncoderConfig
 from lasp.data import (_class_word_pool, load_dataset, load_manifest,
                        write_image_npt)
 from lasp.errors import ConfigError, DataError
+from lasp.prompts import init_prompts
 from lasp.serialization import load_tensors, save_tensors
 
 FAST = ["--set", "center_steps=20", "--set", "epochs=1",
@@ -81,6 +83,17 @@ def test_train_epochs_zero_checkpoint_equals_init(tmp_path):
     assert not named["prompts.bias"].any()
 
 
+def test_empty_prompt_words_start_from_gaussian_vectors(tmp_path):
+    code, out = run(["train", "--seed", "1"] + FAST
+                    + ["--set", "prompt_words=", "--set", "epochs=0"], tmp_path)
+    assert code == EXIT_OK
+    named, _ = load_tensors(out / "checkpoint.bin")
+    enc = EncoderConfig()
+    # FAST trains groups=2; m_prompts keeps its default
+    expected = init_prompts(2, int(DEFAULTS["m_prompts"]), enc.d_tok, enc.d, 1)
+    assert np.array_equal(named["prompts.vectors"], expected.vectors.data)
+
+
 def test_eval_against_checkpoint(tmp_path):
     code, train_out = run(["train", "--seed", "0"] + FAST, tmp_path, "t")
     assert code == EXIT_OK
@@ -131,7 +144,8 @@ def test_eval_non_finite_checkpoint_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, setting, message", [
     pytest.param("eval", "mode=bogus", "mode='bogus'", id="eval-mode"),
-    pytest.param("ablate-templates", "prompt_init=bogus", "prompt_init='bogus'",
+    pytest.param("ablate-templates", "prompt_init=gauss",
+                 "unknown config key 'prompt_init'",
                  id="ablate-templates-prompt_init"),
     pytest.param("train", "lr=abc", "lr='abc'", id="train-lr-not-a-number"),
     pytest.param("train", "loss_kind=huber", "'huber'", id="train-loss_kind"),
@@ -180,6 +194,11 @@ def test_eval_non_finite_checkpoint_is_data_error(tmp_path, capsys):
                  id="fixture-data_seed-negative"),
     pytest.param("fixture", "n_base=0", "n_base must be >= 1",
                  id="fixture-n_base-0"),
+    pytest.param("train", "n_base=1", "n_base must be >= 2", id="train-n_base-1"),
+    pytest.param("train", "shots=25", "shots=25 exceeds samples_per_class=20",
+                 id="train-shots-above-samples_per_class"),
+    pytest.param("train", "m_prompts=30", "m_prompts=30 leaves no room",
+                 id="train-m_prompts-above-max_len"),
 ])
 def test_bad_choice_key_exits_2_before_fixture(tmp_path, capsys, monkeypatch,
                                               command, setting, message):
@@ -285,21 +304,26 @@ def test_distractors_continue_the_fixture_draw():
     assert ctx.distractor_names() == order[4:6]
 
 
+def write_manifest(path, base, new, image=np.zeros((16, 16, 3))):
+    """A manifest of ``base`` and ``new`` classes, each with ``image`` as
+    its one train and one test image."""
+    write_image_npt(path.parent / "img.npt", image)
+    files = {"train": ["img.npt"], "test": ["img.npt"]}
+    path.write_text(json.dumps({"base_classes": base, "new_classes": new,
+                                "images": {n: files for n in base + new}}))
+    return path
+
+
 def test_distractors_never_name_a_manifest_class(tmp_path):
     order = pool_order()
-    write_image_npt(tmp_path / "ok.npt", np.zeros((16, 16, 3)))
-    ok = {"train": ["ok.npt"], "test": ["ok.npt"]}
     # the manifest takes the names the permutation draws first
-    base, new = order[0], order[1]
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"base_classes": [base], "new_classes": [new],
-                                "images": {base: ok, new: ok}}))
+    path = write_manifest(tmp_path / "manifest.json", order[:2], order[2:3])
     over = FAST[1::2] + [f"manifest={path}"]
     ctx = RunContext(resolve_config(None, over + ["distractors=2"], None))
-    assert ctx.distractor_names() == order[2:4]
-    every = RunContext(resolve_config(None, over + ["distractors=166"], None))
-    assert every.distractor_names() == order[2:]
-    too_many = RunContext(resolve_config(None, over + ["distractors=167"], None))
+    assert ctx.distractor_names() == order[3:5]
+    every = RunContext(resolve_config(None, over + ["distractors=165"], None))
+    assert every.distractor_names() == order[3:]
+    too_many = RunContext(resolve_config(None, over + ["distractors=166"], None))
     with pytest.raises(DataError, match="not enough pool words"):
         too_many.distractor_names()
 
@@ -437,6 +461,38 @@ def test_bad_manifest_exits_3(tmp_path, capsys):
         assert code == EXIT_DATA, path
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err, err
+
+
+def test_manifest_with_one_base_class_exits_3(tmp_path, capsys):
+    path = write_manifest(tmp_path / "one.json", ["oak"], ["fern"])
+    code, out = run(["train", "--set", f"manifest={path}"], tmp_path)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "has one base class" in err
+    assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("command, setting, code, message", [
+    pytest.param("train", "ln_finetune=0", EXIT_DATA,
+                 "base-train image features are not finite", id="train"),
+    pytest.param("train", "ln_finetune=1", EXIT_DIVERGENCE,
+                 "overflow in the forward pass", id="train-ln_finetune"),
+    pytest.param("eval", "mode=learned", EXIT_DATA,
+                 "base-test image features are not finite", id="eval-learned"),
+    pytest.param("eval", "mode=zero-shot", EXIT_DATA,
+                 "base-test image features are not finite",
+                 id="eval-zero-shot"),
+])
+def test_pixels_too_large_for_the_tower_exit_with_one_line(
+        tmp_path, capsys, command, setting, code, message):
+    # finite, but the vision tower overflows on them
+    path = write_manifest(tmp_path / "huge.json", ["oak", "palm"], ["fern"],
+                          image=np.full((16, 16, 3), 1e307))
+    got, _ = run([command] + FAST + ["--set", f"manifest={path}", "--set",
+                                     "shots=1", "--set", setting], tmp_path)
+    assert got == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
 
 
 def test_out_root_env_respected(tmp_path, monkeypatch, capsys):

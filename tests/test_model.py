@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from lasp.autodiff import Tensor, grad_check, no_grad
-from lasp.model import IMAGE_CHUNK, build_model
-from lasp.prompts import load_template_bank, render_template, split_templates
+from lasp.model import IMAGE_CHUNK, PromptedClip
+from lasp.prompts import (init_prompts, load_template_bank, render_template,
+                          split_templates)
 from lasp.tokenizer import END_ID, START_ID
 
 # one- and two-token names, so class_rows encodes two length buckets
@@ -15,7 +16,8 @@ NAMES = ["oak", "palm tree", "rocket"]
 @pytest.fixture
 def small_model(small_enc):
     bank = split_templates(load_template_bank("6"), 2, 0)
-    return build_model(small_enc, bank, 0, words=None, m=2)
+    prompts = init_prompts(bank.groups, 2, small_enc.d_tok, small_enc.d, 0)
+    return PromptedClip(small_enc, prompts, bank)
 
 
 def encode_alone(model, embeddings: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import subprocess
 from pathlib import Path
 
 import lasp.cli
@@ -44,3 +46,20 @@ def test_run_benchmark_negative_seed_exits_2_before_fixture(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: seed must be >= 0\n"
+
+
+def test_reproduce_ablations_smoke(tmp_path):
+    src = str(Path(lasp.__file__).resolve().parents[1])
+    env = dict(os.environ, LASP_OUT_ROOT=str(tmp_path), OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (
+                   src, os.environ.get("PYTHONPATH")))))
+    small = ["center_steps=20", "epochs=1", "warmup_epochs=0", "n_base=2",
+             "n_new=2", "samples_per_class=3", "test_samples=2", "shots=2",
+             "batch_size=4", "groups=2", "distractors=2"]
+    out = subprocess.run(["bash", str(SCRIPTS / "reproduce_ablations.sh")]
+                         + [a for kv in small for a in ("--set", kv)],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    for command in ("train", "ablate-loss", "ablate-components",
+                    "ablate-templates", "distract"):
+        assert (tmp_path / f"{command}-seed0" / "report.kv").exists(), command

@@ -143,13 +143,15 @@ import resource
 import numpy as np
 from lasp.data import _class_word_pool
 from lasp.encoders import IMAGE_SHAPE, EncoderConfig
-from lasp.model import build_model
-from lasp.prompts import ClassVocabulary, load_template_bank, split_templates
+from lasp.model import PromptedClip
+from lasp.prompts import (ClassVocabulary, init_prompts, load_template_bank,
+                          split_templates)
 from lasp.trainer import FewShotDataset, TrainConfig, Trainer
 
 names = _class_word_pool()[:30]
-model = build_model(EncoderConfig(), split_templates(load_template_bank("6"),
-                    3, 0), 0, words=None, m=4)
+enc = EncoderConfig()
+model = PromptedClip(enc, init_prompts(3, 4, enc.d_tok, enc.d, 0),
+                     split_templates(load_template_bank("6"), 3, 0))
 cfg = TrainConfig(epochs=5, warmup_epochs=0, lr=0.02, batch_size=16, groups=3,
                   virtual_classes=tuple(names[10:]))
 trainer = Trainer(model, ClassVocabulary(names[:10]), cfg)
