@@ -180,13 +180,13 @@ def finish(run_dir: str, table: str, kv_lines: list[str]) -> int:
 
 
 class RunContext:
-    """Dataset, class names, distractor names, train config and model
-    arguments resolved from one config: the one place that assembles the
-    standard experiment the CLI, the acceptance bench and
-    ``scripts/run_benchmark.py`` run.
+    """Dataset, class names, distractor names, train config, templates,
+    the standard grid of variants and the distractor protocol, resolved
+    from one config: the one place that assembles the standard experiment
+    the CLI, the acceptance bench and ``scripts/run_benchmark.py`` run.
 
-    Every key is parsed once, and the configured untrained model is
-    built, before any data is built or loaded, so a bad value or a bad
+    Every key is parsed once, and the templates are loaded and split,
+    before any data is built or loaded, so a bad value or a bad
     combination of values fails in well under a second.
     """
 
@@ -215,14 +215,17 @@ class RunContext:
             raise ConfigError(f"m_prompts={self.m} leaves no room for a class "
                               f"name: start, prompts, name and end must fit "
                               f"in {self.enc_cfg.max_len} tokens")
+        # one tokenizer and text tower read every model's prompt words
+        self.tokenizer = Tokenizer(max_len=self.enc_cfg.max_len)
         phrase = cfg["prompt_words"]
-        words = Tokenizer(max_len=self.enc_cfg.max_len).words_of(phrase)
+        words = self.tokenizer.words_of(phrase)
         if phrase and not words:
             raise ConfigError(f"prompt words {phrase!r} yielded no tokens")
         if words and self.m > len(words):
             raise ConfigError(f"m_prompts={self.m} exceeds the {len(words)} "
                               f"words of prompt words {phrase!r}")
         self.words = words[:self.m]
+        self.text_encoder = TextEncoder(self.enc_cfg) if words else None
         self.distractors = _num(cfg, "distractors", int)
         if self.distractors < 0:
             raise ConfigError("config key distractors must be >= 0")
@@ -242,8 +245,8 @@ class RunContext:
         if not cfg["manifest"] and self.tcfg.shots > self.spec.samples_per_class:
             raise ConfigError(f"shots={self.tcfg.shots} exceeds samples_per_class"
                               f"={self.spec.samples_per_class}")
-        # checks the template split across keys
-        self.model = self.build_model()
+        self.templates = load_template_bank(cfg["templates"])
+        self._bank(self.tcfg.groups)    # checks the template count
         if cfg["manifest"]:
             manifest = load_manifest(cfg["manifest"])
             self.splits = load_dataset(manifest)
@@ -280,6 +283,42 @@ class RunContext:
                             f"distractors: {len(names)} are not split names")
         return names[:self.distractors]
 
+    def variants(self) -> dict[str, dict]:
+        """The standard grid's ``train`` overrides by label. Every row names
+        its virtual classes, so a row means the same whatever ``virtual``
+        is configured to."""
+        new = tuple(self.new_names)
+        return {
+            "baseline": dict(alpha_tt=0.0, virtual_classes=()),
+            "lasp": dict(virtual_classes=()),
+            "lasp-v": dict(virtual_classes=new),
+            "l1": dict(loss_kind="l1", virtual_classes=new),
+            "l2": dict(loss_kind="l2", virtual_classes=new),
+            "lasp-v+distractors": dict(
+                virtual_classes=new + tuple(self.distractor_names())),
+        }
+
+    def distractor_effect(self, plain: PromptedClip, aware: PromptedClip
+                          ) -> tuple[list[tuple[str, EvalReport]], float, float]:
+        """The distractor protocol: ``plain`` scored without and with the
+        distractor names among the candidates, and ``aware`` (trained with
+        them as virtual classes) scored with them. Returns those three rows,
+        the drop and the recovery of the mean of base and new accuracy."""
+        test = (self.splits["base-test"], self.splits["new-test"],
+                self.base_names, self.new_names, self.distractor_names())
+        wo, wd = evaluate_generalized(plain, *test)
+        _, wd_aware = evaluate_generalized(aware, *test)
+        mean = lambda r: 0.5 * (r.base_acc + r.new_acc)
+        rows = [("no-distractors", wo), ("with-distractors", wd),
+                ("virtual-aware", wd_aware)]
+        return rows, mean(wo) - mean(wd), mean(wd_aware) - mean(wd)
+
+    def _bank(self, groups: int) -> TemplateBank:
+        """The configured templates split into ``groups`` groups."""
+        if groups > 1:
+            return split_templates(self.templates, groups, 0)
+        return self.templates
+
     def build_model(self, tcfg: TrainConfig | None = None,
                     bank: TemplateBank | None = None) -> PromptedClip:
         """Untrained model with the prompt seed of ``tcfg`` (default: the
@@ -289,14 +328,12 @@ class RunContext:
         Gaussian vectors when there are no prompt words."""
         tcfg = tcfg or self.tcfg
         if bank is None:
-            bank = load_template_bank(self.cfg["templates"])
-            if tcfg.groups > 1:
-                bank = split_templates(bank, tcfg.groups, 0)
+            bank = self._bank(tcfg.groups)
         enc = self.enc_cfg
         if self.words:
             prompts = init_prompts_from_words(
-                TextEncoder(enc), Tokenizer(max_len=enc.max_len), self.words,
-                bank.groups, enc.d, tcfg.seed)
+                self.text_encoder, self.tokenizer, self.words, bank.groups,
+                enc.d, tcfg.seed)
         else:
             prompts = init_prompts(bank.groups, self.m, enc.d_tok, enc.d,
                                    tcfg.seed)
@@ -345,7 +382,7 @@ def cmd_train(cfg: dict[str, str], run_dir: str) -> int:
 
 def cmd_eval(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    model = ctx.model
+    model = ctx.build_model()
     if cfg["checkpoint"]:
         if not os.path.exists(cfg["checkpoint"]):
             raise DataError(f"checkpoint not found: {cfg['checkpoint']}")
@@ -415,23 +452,12 @@ def cmd_ablate_components(cfg: dict[str, str], run_dir: str) -> int:
 
 def cmd_distract(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
-    distractors = ctx.distractor_names()
-    plain, _, _ = ctx.train(virtual_classes=())
-    aware, _, _ = ctx.train(virtual_classes=tuple(ctx.new_names)
-                                            + tuple(distractors))
-    wo, wd = evaluate_generalized(plain, ctx.splits["base-test"],
-                                  ctx.splits["new-test"], ctx.base_names,
-                                  ctx.new_names, distractors)
-    _, wd_aware = evaluate_generalized(aware, ctx.splits["base-test"],
-                                       ctx.splits["new-test"], ctx.base_names,
-                                       ctx.new_names, distractors)
-    rows = [("no-distractors", wo), ("with-distractors", wd),
-            ("virtual-aware", wd_aware)]
+    grid = ctx.variants()     # draws the distractors before any training
+    plain, _, _ = ctx.train(**grid["lasp"])
+    aware, _, _ = ctx.train(**grid["lasp-v+distractors"])
+    rows, drop, recovered = ctx.distractor_effect(plain, aware)
     table, kv = _grid_report(rows)
-    mean = lambda r: 0.5 * (r.base_acc + r.new_acc)
-    drop = mean(wo) - mean(wd)
-    recovered = mean(wd_aware) - mean(wd)
-    table += (f"\n\ndistractor names: {', '.join(distractors)}"
+    table += (f"\n\ndistractor names: {', '.join(ctx.distractor_names())}"
               f"\naccuracy drop: {drop:.2f}"
               f"\nrecovered by virtual classes: {recovered:.2f}")
     kv += [f"distractor_drop, all, {drop:.4f}",

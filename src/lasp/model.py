@@ -8,7 +8,7 @@ import numpy as np
 
 from .autodiff import NumericError, Tensor, concat, no_grad, stack
 from .encoders import TAU, EncoderConfig, TextEncoder, VisionEncoder
-from .errors import DataError
+from .errors import DataError, TemplateError
 from .losses import apply_bias_correction
 from .prompts import (PromptSet, TemplateBank, assemble_learnable_prompt,
                       render_template)
@@ -53,15 +53,27 @@ class PromptedClip:
     # -- text side ------------------------------------------------------------
 
     def anchors(self, class_names: list[str]) -> np.ndarray:
-        """Frozen hand-crafted features, shape (L, C, d); cached per class set."""
+        """Frozen hand-crafted features, shape (L, C, d); cached per class set.
+
+        A rendered template the tokenizer would cut short raises
+        ``TemplateError``: the cut drops the class name, which comes last.
+        """
         key = tuple(class_names)
         cached = self._anchor_cache.get(key)
         if cached is not None:
             return cached
         te, tok = self.text_encoder, self.tokenizer
-        batches, restore = _by_length(
-            [te.embed_ids(tok.tokenize(render_template(template, name)))
-             for template in self.bank.templates for name in class_names])
+        seqs = []
+        for template in self.bank.templates:
+            for name in class_names:
+                words = tok.words_of(render_template(template, name))
+                if len(words) > tok.max_len - 2:
+                    raise TemplateError(
+                        f"template {template!r} with class {name!r} has "
+                        f"{len(words)} words; at most {tok.max_len - 2} fit "
+                        f"in {tok.max_len} tokens")
+                seqs.append(te.embed_ids(tok.ids_of(words)))
+        batches, restore = _by_length(seqs)
         with no_grad():
             flat = np.concatenate([te.encode_batch(Tensor(b)).data
                                    for b in batches])

@@ -59,6 +59,9 @@ class Tokenizer:
         return wid
 
     def tokenize(self, text: str) -> list[int]:
-        ids = [self.word_id(w) for w in self.words_of(text)]
-        ids = ids[: self.max_len - 2]
+        return self.ids_of(self.words_of(text))
+
+    def ids_of(self, words: list[str]) -> list[int]:
+        """[start] + the ids of the first ``max_len - 2`` words + [end]."""
+        ids = [self.word_id(w) for w in words[: self.max_len - 2]]
         return [START_ID] + ids + [END_ID]

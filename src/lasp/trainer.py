@@ -69,8 +69,8 @@ class FewShotDataset:
 
 
 def sample_few_shot(images: np.ndarray, labels: np.ndarray, shots: int,
-                    seed: int, split: str = "base-train") -> FewShotDataset:
-    """Deterministic per-class sample without replacement."""
+                    seed: int) -> FewShotDataset:
+    """Deterministic per-class sample without replacement from base-train."""
     rng = np.random.default_rng(seed)
     picked = []
     for c in np.unique(labels):
@@ -79,7 +79,7 @@ def sample_few_shot(images: np.ndarray, labels: np.ndarray, shots: int,
             raise DataError(f"class {c} has {idx.size} examples, need {shots}")
         picked.append(rng.choice(idx, size=shots, replace=False))
     sel = np.sort(np.concatenate(picked))
-    return FewShotDataset(images[sel].copy(), labels[sel].copy(), split)
+    return FewShotDataset(images[sel].copy(), labels[sel].copy(), "base-train")
 
 
 def learning_rate_at(step: int, total_steps: int, warmup_steps: int,

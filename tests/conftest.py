@@ -17,10 +17,10 @@ def small_enc():
 class AcceptanceBench:
     """Shared trained-model cache for the directional acceptance criteria.
 
-    The standard experiment is the CLI's default configuration, built by
-    ``RunContext``. The fixture and every trained model are deterministic,
-    so each (configuration, seed) pair is trained once and reused across
-    criteria.
+    The standard experiment is the CLI's default configuration and its
+    grid of variants, both from ``RunContext``. The fixture and every
+    trained model are deterministic, so each (variant, seed) pair is trained
+    once, when a criterion first asks for it, and reused across criteria.
     """
 
     SEEDS = (0, 1, 2)
@@ -29,27 +29,14 @@ class AcceptanceBench:
         t0 = time.monotonic()
         self.ctx = RunContext(resolve_config(None, [], None))
         self.base = self.ctx.base_names
-        self.new = self.ctx.new_names
-        self.distractors = self.ctx.distractor_names()
         self.dataset_time = time.monotonic() - t0
         self._models = {}
-
-    def configs(self):
-        return {
-            "baseline": dict(alpha_tt=0.0),
-            "lasp": {},
-            "laspv": dict(virtual_classes=tuple(self.new)),
-            "l1": dict(loss_kind="l1", virtual_classes=tuple(self.new)),
-            "l2": dict(loss_kind="l2", virtual_classes=tuple(self.new)),
-            "laspv+distract": dict(virtual_classes=tuple(self.new)
-                                   + tuple(self.distractors)),
-        }
 
     def model(self, label: str, seed: int) -> PromptedClip:
         key = (label, seed)
         if key not in self._models:
-            model, _, _ = self.ctx.train(seed=seed, **self.configs()[label])
-            self._models[key] = model
+            self._models[key] = self.ctx.train(
+                seed=seed, **self.ctx.variants()[label])[0]
         return self._models[key]
 
     def mean_accs(self, label: str):

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from lasp.autodiff import Tensor, grad_check
-from lasp.evaluator import (centroid_distance_matrix, evaluate_generalized,
-                            harmonic_mean)
+from lasp.evaluator import centroid_distance_matrix, harmonic_mean
 from lasp.losses import (combined_loss, grouped_tt_loss,
                          template_averaged_probs, tt_loss, vl_loss)
 from lasp.prompts import TemplateBank
@@ -213,7 +212,7 @@ def test_criterion_07_lasp_effect(bench):
     t0 = time.monotonic()
     base_b, new_b = bench.mean_accs("baseline")
     base_l, new_l = bench.mean_accs("lasp")
-    base_v, new_v = bench.mean_accs("laspv")
+    base_v, new_v = bench.mean_accs("lasp-v")
     # fixture generation + the nine training runs + evaluation
     elapsed = bench.dataset_time + (time.monotonic() - t0)
     ok = (55.0 <= new_b <= 75.0
@@ -222,7 +221,7 @@ def test_criterion_07_lasp_effect(bench):
           and abs(base_l - base_b) <= 3.0
           and elapsed < 300.0)
     report(7, "text-to-text training lifts new-class accuracy", ok,
-           f"new: baseline {new_b:.1f} < lasp {new_l:.1f} <= laspv {new_v:.1f}; "
+           f"new: baseline {new_b:.1f} < lasp {new_l:.1f} <= lasp-v {new_v:.1f}; "
            f"base gap {abs(base_l - base_b):.1f}; {elapsed:.0f}s")
 
 
@@ -240,29 +239,18 @@ def test_criterion_08_centroid_separation(bench):
 
 
 def test_criterion_09_distractor_monotonicity(bench):
-    drops, recoveries = [], []
-    mean = lambda r: 0.5 * (r.base_acc + r.new_acc)
-    for s in bench.SEEDS:
-        plain = bench.model("lasp", s)
-        aware = bench.model("laspv+distract", s)
-        wo, wd = evaluate_generalized(plain, bench.ctx.splits["base-test"],
-                                      bench.ctx.splits["new-test"],
-                                      bench.base, bench.new, bench.distractors)
-        _, wd_aware = evaluate_generalized(aware,
-                                           bench.ctx.splits["base-test"],
-                                           bench.ctx.splits["new-test"],
-                                           bench.base, bench.new,
-                                           bench.distractors)
-        drops.append(mean(wo) - mean(wd))
-        recoveries.append(mean(wd_aware) - mean(wd))
-    drop, recovered = float(np.mean(drops)), float(np.mean(recoveries))
+    effects = [bench.ctx.distractor_effect(bench.model("lasp", s),
+                                           bench.model("lasp-v+distractors", s))
+               for s in bench.SEEDS]
+    drop = float(np.mean([d for _, d, _ in effects]))
+    recovered = float(np.mean([r for _, _, r in effects]))
     ok = drop >= 0.0 and recovered > 0.0
     report(9, "distractors cost accuracy; virtual classes claw some back", ok,
            f"drop {drop:.2f}, recovered {recovered:.2f}")
 
 
 def test_criterion_10_loss_ablation(bench):
-    _, new_ce = bench.mean_accs("laspv")
+    _, new_ce = bench.mean_accs("lasp-v")
     _, new_l1 = bench.mean_accs("l1")
     _, new_l2 = bench.mean_accs("l2")
     ok = new_ce >= new_l1 and new_ce >= new_l2

@@ -292,6 +292,43 @@ def test_distract_needs_enough_pool_words(tmp_path, capsys):
     assert err.count("\n") == 1 and "not enough pool words" in err
 
 
+def test_distract_ignores_configured_virtual_classes(tmp_path):
+    args = ["distract", "--seed", "1"] + FAST + ["--set", "distractors=2"]
+    code, plain = run(args, tmp_path, "plain")
+    assert code == EXIT_OK
+    code, vnew = run(args + ["--set", "virtual=new"], tmp_path, "vnew")
+    assert code == EXIT_OK
+    assert (vnew / "report.kv").read_bytes() == (plain / "report.kv").read_bytes()
+
+
+def test_variants_use_the_contexts_class_names():
+    ctx = RunContext(resolve_config(None, FAST[1::2] + [
+        "distractors=2", "virtual=new"], None))
+    grid = ctx.variants()
+    assert list(grid) == ["baseline", "lasp", "lasp-v", "l1", "l2",
+                          "lasp-v+distractors"]
+    new = tuple(ctx.new_names)
+    assert grid["baseline"] == dict(alpha_tt=0.0, virtual_classes=())
+    assert grid["lasp"] == dict(virtual_classes=())
+    assert grid["lasp-v"] == dict(virtual_classes=new)
+    assert grid["l1"] == dict(loss_kind="l1", virtual_classes=new)
+    assert grid["l2"] == dict(loss_kind="l2", virtual_classes=new)
+    assert grid["lasp-v+distractors"] == dict(
+        virtual_classes=new + tuple(ctx.distractor_names()))
+
+
+def test_template_longer_than_the_tokens_exits_2(tmp_path, capsys):
+    path = tmp_path / "templates.txt"
+    long = " ".join(["the"] * 30) + " {}"
+    path.write_text(f"a photo of {{}}\n{long}\n")
+    code, _ = run(["train"] + FAST + ["--set", f"templates={path}"], tmp_path)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"template {long!r} with class '" in err
+    assert "has 31 words; at most 30 fit in 32 tokens" in err
+
+
 def pool_order(seed=0):
     pool = _class_word_pool()
     return [pool[int(i)] for i in np.random.default_rng(seed).permutation(len(pool))]

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lasp.autodiff import Tensor, grad_check, no_grad
+from lasp.errors import TemplateError
 from lasp.model import IMAGE_CHUNK, PromptedClip
-from lasp.prompts import (init_prompts, load_template_bank, render_template,
-                          split_templates)
+from lasp.prompts import (TemplateBank, init_prompts, load_template_bank,
+                          render_template, split_templates)
 from lasp.tokenizer import END_ID, START_ID
 
 # one- and two-token names, so class_rows encodes two length buckets
@@ -52,6 +53,24 @@ def test_anchors_match_each_template_encoded_alone(small_model):
             np.testing.assert_allclose(anchors[l, c],
                                        encode_alone(model, te.embed_ids(ids)),
                                        rtol=0, atol=1e-12)
+
+
+def test_anchors_reject_a_template_that_cuts_the_class_name(small_enc):
+    # small_enc holds 16 tokens: start, 14 words, end
+    prompts = init_prompts(1, 2, small_enc.d_tok, small_enc.d, 0)
+    fits = PromptedClip(small_enc, prompts,
+                        TemplateBank([" ".join(["the"] * 13) + " {}"]))
+    assert fits.anchors(["oak"]).shape == (1, 1, small_enc.d)
+    cut = "a photo of {}"
+    long = " ".join(["the"] * 14) + " {}"
+    model = PromptedClip(small_enc, prompts, TemplateBank([cut, long]))
+    with pytest.raises(TemplateError, match=r"with class 'rocket' has 15 "
+                                            r"words; at most 14 fit"):
+        model.anchors(["rocket"])
+    # two-word names count both words
+    with pytest.raises(TemplateError, match="'palm tree' has 15 words"):
+        PromptedClip(small_enc, prompts, TemplateBank(
+            [" ".join(["the"] * 13) + " {}"])).anchors(["palm tree"])
 
 
 def test_class_rows_grad_check(small_model):

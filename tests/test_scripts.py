@@ -17,13 +17,38 @@ def load_script(name):
 
 
 def test_run_benchmark_smoke(capsys):
-    load_script("run_benchmark").main(["--seeds", "0", "--epochs", "1"])
-    header, *rows = capsys.readouterr().out.strip().splitlines()
+    load_script("run_benchmark").main(["--seeds", "0", "2", "--epochs", "1"])
+    means, per_seed, margins = capsys.readouterr().out.strip().split("\n\n")
+    header, *rows = means.splitlines()
     assert header.split() == ["config", "base", "new", "H"]
     assert [r.split()[0] for r in rows] == ["zero-shot", "baseline", "lasp",
                                             "lasp-v", "l1", "l2"]
     for row in rows:
         assert all(0.0 <= float(v) <= 100.0 for v in row.split()[1:])
+    mean_new = {r.split()[0]: float(r.split()[2]) for r in rows}
+
+    header, *rows = per_seed.splitlines()
+    assert header.split() == ["config", "seed", "base", "new", "H"]
+    assert [r.split()[:2] for r in rows] == [
+        [label, seed] for label in ("baseline", "lasp", "lasp-v", "l1", "l2")
+        for seed in ("0", "2")]
+    for row in rows:
+        assert all(0.0 <= float(v) <= 100.0 for v in row.split()[2:])
+    # each mean row is the mean of its seeds' rows
+    for label, new in mean_new.items():
+        seeds = [float(r.split()[3]) for r in rows if r.split()[0] == label]
+        assert label == "zero-shot" or abs(sum(seeds) / 2 - new) <= 0.005
+
+    header, *rows = margins.splitlines()
+    assert header.split() == ["new-class", "margin", "mean", "criterion"]
+    names = ["lasp - baseline", "lasp-v - lasp", "lasp-v - max(l1, l2)"]
+    assert [r[:22].strip() for r in rows] == names
+    assert [r.split()[-1] for r in rows] == ["7", "7", "10"]
+    expected = [mean_new["lasp"] - mean_new["baseline"],
+                mean_new["lasp-v"] - mean_new["lasp"],
+                mean_new["lasp-v"] - max(mean_new["l1"], mean_new["l2"])]
+    for row, margin in zip(rows, expected):
+        assert abs(float(row.split()[-2]) - margin) <= 0.02
 
 
 def test_run_benchmark_bad_epochs_exits_2_before_fixture(monkeypatch, capsys):
