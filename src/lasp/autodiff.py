@@ -9,7 +9,8 @@ is numpy, but all derivative rules live here.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+import math
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -322,18 +323,18 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tensors, bw)
 
 
-def _log_softmax_data(x: Tensor, axis: int, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(x.data)):
+def _log_softmax_data(x: np.ndarray, axis: int, op: str) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
         raise NumericError(f"{op} requires finite input")
-    m = x.data.max(axis=axis, keepdims=True)
-    shifted = x.data - m
+    m = x.max(axis=axis, keepdims=True)
+    shifted = x - m
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis`` (max-subtraction)."""
     x = Tensor._lift(x)
-    out_data = _log_softmax_data(x, axis, "log_softmax")
+    out_data = _log_softmax_data(x.data, axis, "log_softmax")
 
     def bw(g):
         soft = np.exp(out_data)
@@ -342,16 +343,18 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x._make(out_data, (x,), bw)
 
 
+def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """Input grad of ``out = softmax(x)`` given the output grad ``g``."""
+    gl = g * out
+    return gl - out * gl.sum(axis=axis, keepdims=True)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """``exp(log_softmax(x))`` as one node; its backward reuses the output."""
     x = Tensor._lift(x)
-    out_data = np.exp(_log_softmax_data(x, axis, "softmax"))
-
-    def bw(g):
-        gl = g * out_data
-        x._accum(gl - out_data * gl.sum(axis=axis, keepdims=True))
-
-    return x._make(out_data, (x,), bw)
+    out_data = np.exp(_log_softmax_data(x.data, axis, "softmax"))
+    return x._make(out_data, (x,),
+                   lambda g: x._accum(_softmax_grad(g, out_data, axis)))
 
 
 def normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -361,41 +364,136 @@ def normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     return x * (sq + eps).pow(-0.5)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row standardization over the last axis followed by affine.
+LN_EPS = 1e-5
 
-    One node. Forward and backward evaluate, in the same order, the
-    expressions of the composite ``mean``/``sub``/``mul``/``pow`` chain,
-    so values and gradients equal that chain's bit for bit.
+
+def _tracked(t: Tensor) -> bool:
+    return t.requires_grad or t._backward is not None
+
+
+def _layer_norm_data(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                     eps: float) -> tuple[np.ndarray, tuple]:
+    """LayerNorm over the last axis: the output, and what its backward needs.
+
+    The expressions are those of the composite ``mean``/``sub``/``mul``/
+    ``pow`` chain, in its order, so values and gradients equal that chain's
+    bit for bit.
     """
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
-    x, gain, bias = Tensor._lift(x), Tensor._lift(gain), Tensor._lift(bias)
-    k = np.asarray(1.0 / x.data.shape[-1])
-    mu = x.data.sum(axis=-1, keepdims=True) * k
-    c = x.data + -mu
+    k = np.asarray(1.0 / x.shape[-1])
+    mu = x.sum(axis=-1, keepdims=True) * k
+    c = x + -mu
     var = (c * c).sum(axis=-1, keepdims=True) * k
     ve = var + eps
     r = ve ** -0.5
-    xhat = c * r
-    out_data = xhat * gain.data + bias.data
+    return c * r * gain + bias, (k, c, ve, r)
+
+
+def _layer_norm_grad(g: np.ndarray, gain: Tensor, bias: Tensor, saved: tuple,
+                     want_x: bool):
+    """Accumulate the affine grads of a ``_layer_norm_data`` output. Return
+    the input grad as its two terms, centred part then mean part, which the
+    chain accumulates one after the other; None unless ``want_x``."""
+    k, c, ve, r = saved
+    if _tracked(bias):
+        bias._accum(_unbroadcast(g, bias.data.shape))
+    if _tracked(gain):
+        gain._accum(_unbroadcast(g * (c * r), gain.data.shape))
+    if not want_x:
+        return None
+    gx = g * gain.data
+    gr = _unbroadcast(gx * c, r.shape)
+    gsq = gr * -0.5 * ve ** -1.5 * k
+    gc = gx * r
+    gc = gc + gsq * c
+    gc = gc + gsq * c
+    return gc, np.broadcast_to(-_unbroadcast(gc, r.shape) * k, c.shape)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
+    """Per-row standardization over the last axis followed by affine, as
+    one node with the composite chain's bits (see ``_layer_norm_data``)."""
+    if eps <= 0:
+        raise ValueError("layer_norm eps must be positive")
+    x, gain, bias = Tensor._lift(x), Tensor._lift(gain), Tensor._lift(bias)
+    out_data, saved = _layer_norm_data(x.data, gain.data, bias.data, eps)
 
     def bw(g):
-        if bias.requires_grad or bias._backward:
-            bias._accum(_unbroadcast(g, bias.data.shape))
-        if gain.requires_grad or gain._backward:
-            gain._accum(_unbroadcast(g * xhat, gain.data.shape))
-        if x.requires_grad or x._backward:
-            gx = g * gain.data
-            gr = _unbroadcast(gx * c, r.shape)
-            gsq = gr * -0.5 * ve ** -1.5 * k
-            gc = gx * r
-            gc = gc + gsq * c
-            gc = gc + gsq * c
-            x._accum(gc)
-            x._accum(np.broadcast_to(-_unbroadcast(gc, mu.shape) * k, x.data.shape))
+        terms = _layer_norm_grad(g, gain, bias, saved, _tracked(x))
+        if terms is not None:
+            x._accum(terms[0])
+            x._accum(terms[1])
 
     return Tensor._make(out_data, (x, gain, bias), bw)
+
+
+def transformer_block(x: Tensor, w: Mapping[str, Tensor], n_heads: int) -> Tensor:
+    """One pre-LN transformer block over a (B, S, D) batch, as one node.
+
+    ``a = x + attention(LN1(x))`` with ``n_heads`` heads, then
+    ``a + tanh(LN2(a) @ w1 + b1) @ w2 + b2``. ``w`` maps wq, wk, wv, wo, w1,
+    b1, w2, b2 (frozen: they get no grad) and ln1_g, ln1_b, ln2_g, ln2_b to
+    tensors. The node's parents are ``x`` and the four LayerNorm affines;
+    both LayerNorms use eps ``LN_EPS``.
+
+    Forward and backward evaluate the numpy expressions of the op-by-op
+    chain (matmul, reshape, transpose, ``*``, ``softmax``, ``+``, ``tanh``,
+    ``layer_norm`` nodes) in the chain's order, so the output and every
+    grad equal the chain's bit for bit. In particular each residual's grad
+    accumulates as ``(g + centred) + mean`` and LN1's output grad as
+    ``(q + k) + v``, as the tape's reverse topological order adds them.
+    """
+    x = Tensor._lift(x)
+    ln1_g, ln1_b, ln2_g, ln2_b = (w[k] for k in ("ln1_g", "ln1_b",
+                                                  "ln2_g", "ln2_b"))
+    wq, wk, wv, wo, w1, w2 = (w[k].data for k in ("wq", "wk", "wv", "wo",
+                                                  "w1", "w2"))
+    b, s, d = x.data.shape
+    h, dh = n_heads, d // n_heads
+    scale = np.asarray(1.0 / math.sqrt(dh))
+
+    def heads(t):
+        return t.reshape(b, s, h, dh).transpose(0, 2, 1, 3)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(b, s, d)
+
+    ln1, ln1_saved = _layer_norm_data(x.data, ln1_g.data, ln1_b.data, LN_EPS)
+    q, k, v = heads(ln1 @ wq), heads(ln1 @ wk), heads(ln1 @ wv)
+    kt = k.transpose(0, 1, 3, 2)
+    p = np.exp(_log_softmax_data((q @ kt) * scale, -1, "softmax"))
+    a = x.data + merge(p @ v) @ wo
+    ln2, ln2_saved = _layer_norm_data(a, ln2_g.data, ln2_b.data, LN_EPS)
+    act = np.tanh(ln2 @ w1 + w["b1"].data)
+    out_data = a + (act @ w2 + w["b2"].data)
+
+    def bw(g):
+        want_x = _tracked(x)
+        want_a = want_x or _tracked(ln1_g) or _tracked(ln1_b)
+        # feed-forward half, down to the grad of ``a``
+        gh = g @ np.swapaxes(w2, -1, -2)
+        gh = gh * (1.0 - act * act)
+        terms = _layer_norm_grad(gh @ np.swapaxes(w1, -1, -2), ln2_g, ln2_b,
+                                 ln2_saved, want_a)
+        if not want_a:
+            return
+        ga = (g + terms[0]) + terms[1]
+        # attention half: mixed values, scores, then q, k, v back to LN1
+        gm = (ga @ np.swapaxes(wo, -1, -2)).reshape(b, s, h, dh)
+        gm = gm.transpose(0, 2, 1, 3)
+        gv = np.swapaxes(p, -1, -2) @ gm
+        gs = _softmax_grad(gm @ np.swapaxes(v, -1, -2), p, -1) * scale
+        gq = gs @ np.swapaxes(kt, -1, -2)
+        gk = (np.swapaxes(q, -1, -2) @ gs).transpose(0, 1, 3, 2)
+        gln1 = merge(gq) @ np.swapaxes(wq, -1, -2)
+        gln1 = gln1 + merge(gk) @ np.swapaxes(wk, -1, -2)
+        gln1 = gln1 + merge(gv) @ np.swapaxes(wv, -1, -2)
+        terms = _layer_norm_grad(gln1, ln1_g, ln1_b, ln1_saved, want_x)
+        if want_x:
+            x._accum(ga)
+            x._accum(terms[0])
+            x._accum(terms[1])
+
+    return Tensor._make(out_data, (x, ln1_g, ln1_b, ln2_g, ln2_b), bw)
 
 
 # -- gradient checking --------------------------------------------------------

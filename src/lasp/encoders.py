@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, layer_norm, softmax
+from .autodiff import Tensor, concat, layer_norm, transformer_block
 from .errors import ConfigError, InputError
 from .tokenizer import VOCAB_SIZE
 
@@ -52,7 +52,8 @@ def _weight(rng, shape):
 
 
 class _Transformer:
-    """Shared pre-LN transformer stack over (B, S, D) inputs."""
+    """Shared pre-LN transformer stack over (B, S, D) inputs; each block is
+    one tape node (``autodiff.transformer_block``)."""
 
     def __init__(self, cfg: EncoderConfig, rng, prefix: str):
         self.cfg = cfg
@@ -94,25 +95,9 @@ class _Transformer:
         out[f"{self.prefix}.ln_f_b"] = self.ln_f_b
         return out
 
-    def _attention(self, x: Tensor, lyr) -> Tensor:
-        cfg = self.cfg
-        b, s, d = x.shape
-        h, dh = cfg.n_heads, cfg.d_tok // cfg.n_heads
-
-        def heads(t: Tensor) -> Tensor:
-            return t.reshape(b, s, h, dh).transpose(0, 2, 1, 3)
-
-        q, k, v = heads(x @ lyr["wq"]), heads(x @ lyr["wk"]), heads(x @ lyr["wv"])
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
-        mixed = softmax(scores, axis=-1) @ v
-        merged = mixed.transpose(0, 2, 1, 3).reshape(b, s, d)
-        return merged @ lyr["wo"]
-
     def forward(self, x: Tensor) -> Tensor:
         for lyr in self.layers:
-            x = x + self._attention(layer_norm(x, lyr["ln1_g"], lyr["ln1_b"]), lyr)
-            hdn = layer_norm(x, lyr["ln2_g"], lyr["ln2_b"])
-            x = x + ((hdn @ lyr["w1"] + lyr["b1"]).tanh() @ lyr["w2"] + lyr["b2"])
+            x = transformer_block(x, lyr, self.cfg.n_heads)
         return layer_norm(x, self.ln_f_g, self.ln_f_b)
 
 

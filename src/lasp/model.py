@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
+import platform
+import warnings
 
 import numpy as np
 
@@ -31,11 +34,48 @@ def _by_length(seqs: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     return batches, np.argsort(np.concatenate(list(buckets.values())))
 
 
+# glibc mallopt parameters (name, number in malloc.h) and the values a model
+# build sets
+_HEAP_SETTINGS = (("M_TRIM_THRESHOLD", -1, 256 << 20),
+                  ("M_MMAP_THRESHOLD", -3, 32 << 20))
+
+
+def _keep_freed_heap() -> None:
+    """Keep the memory a tower pass frees in this process's heap (glibc only).
+
+    A train step frees a few MB of tape buffers, and an encode without a
+    tape frees each block's activations when the block returns. By default
+    glibc trims the top of the heap back to the OS, and the next step or
+    chunk faults the same pages in again. A trim threshold of 256 MB stops
+    that. Setting any threshold also turns off glibc's dynamic mmap
+    threshold, after which the vision tower's ~560 KB activations would be
+    mmapped and unmapped every pass, so the mmap threshold is raised to
+    32 MB as well. Neither is ever undone. Calling this again sets the same
+    values; off glibc it does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for name, param, value in _HEAP_SETTINGS:
+        if mallopt(param, value) != 1:
+            # the numbers do not depend on it; only time and faults do
+            warnings.warn(f"glibc refused mallopt({name}, {value})",
+                          RuntimeWarning, stacklevel=3)
+
+
 class PromptedClip:
-    """Synthetic-pretrained dual encoder plus a learnable prompt set."""
+    """Synthetic-pretrained dual encoder plus a learnable prompt set.
+
+    Building one calls ``_keep_freed_heap``, so the fixture's pixel ascent,
+    training and evaluation all run under one allocator setting, while
+    importing lasp changes none.
+    """
 
     def __init__(self, enc_cfg: EncoderConfig, prompt_set: PromptSet,
                  bank: TemplateBank):
+        _keep_freed_heap()
         self.cfg = enc_cfg
         self.tokenizer = Tokenizer(max_len=enc_cfg.max_len)
         self.text_encoder = TextEncoder(enc_cfg)

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import math
-import platform
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,51 +104,29 @@ def _overflow_is_divergence(step: int, stage: str):
                               terms=str(exc)) from None
 
 
-# glibc mallopt parameters (name, number in malloc.h) and the values fit sets
-_HEAP_SETTINGS = (("M_TRIM_THRESHOLD", -1, 256 << 20),
-                  ("M_MMAP_THRESHOLD", -3, 32 << 20))
-
-
-def _keep_freed_heap() -> None:
-    """Keep the memory a train step frees in this process's heap (glibc only).
-
-    A step frees a few MB of tape buffers. By default glibc trims the top
-    of the heap back to the OS, and the next step faults the same pages in
-    again. A trim threshold of 256 MB stops that. Setting any threshold also
-    turns off glibc's dynamic mmap threshold, after which the vision tower's
-    ~560 KB activations would be mmapped and unmapped every step, so the
-    mmap threshold is raised to 32 MB as well. Neither is ever undone.
-    Calling this again sets the same values; off glibc it does nothing.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for name, param, value in _HEAP_SETTINGS:
-        if mallopt(param, value) != 1:
-            # the numbers do not depend on it; only time and faults do
-            warnings.warn(f"glibc refused mallopt({name}, {value})",
-                          RuntimeWarning, stacklevel=3)
-
-
 @dataclass
 class StepResult:
     l_vl: float
     l_tt: float
     total: float
+    gnorm: float = math.nan        # global gradient norm before clipping
+    clip_scale: float = math.nan   # factor the update scaled the gradient by
 
 
 @dataclass
 class TrainLog:
-    rows: list[tuple[int, int, float, float, float, float]] = field(default_factory=list)
+    """One row a step: epoch, step, lr, l_vl, l_tt, total, gnorm, clip_scale."""
+
+    rows: list[tuple[int, int, float, float, float, float, float, float]] = \
+        field(default_factory=list)
 
     def append(self, epoch, step, lr, res: StepResult):
-        self.rows.append((epoch, step, lr, res.l_vl, res.l_tt, res.total))
+        self.rows.append((epoch, step, lr, res.l_vl, res.l_tt, res.total,
+                          res.gnorm, res.clip_scale))
 
     def lines(self) -> list[str]:
-        return [f"{e}, {s}, {lr:.10g}, {a:.10g}, {b:.10g}, {t:.10g}"
-                for e, s, lr, a, b, t in self.rows]
+        return [f"{e}, {s}, " + ", ".join(f"{v:.10g}" for v in rest)
+                for e, s, *rest in self.rows]
 
 
 class Trainer:
@@ -210,11 +185,9 @@ class Trainer:
             p.zero_grad()
         with _overflow_is_divergence(step_index, "forward pass"):
             l_vl, l_tt, total = self._losses(images, labels)
-        res = StepResult(l_vl.item() if l_vl is not None else 0.0,
-                         l_tt.item() if l_tt is not None else 0.0, total.item())
-        if not np.isfinite(res.total) or abs(res.total) > cfg.divergence_limit:
-            raise DivergenceError(step_index, res.total,
-                                  terms=f"l_vl {res.l_vl}, l_tt {res.l_tt}")
+        vl, tt, tot = (0.0 if t is None else t.item() for t in (l_vl, l_tt, total))
+        if not np.isfinite(tot) or abs(tot) > cfg.divergence_limit:
+            raise DivergenceError(step_index, tot, terms=f"l_vl {vl}, l_tt {tt}")
         with _overflow_is_divergence(step_index, "backward pass"):
             total.backward()
         # global-norm clipping: TT at tau=0.01 has near-flat plateaus next to
@@ -236,22 +209,13 @@ class Trainer:
                 continue
             p.data -= lr * scale * p.grad
             p.zero_grad()
-        return res
+        return StepResult(vl, tt, tot, float(gnorm), float(scale))
 
     def fit(self, train_set: FewShotDataset) -> TrainLog:
         """Train over ``train_set``. When the vision tower is frozen, its
         features are encoded once here and each step gets its rows; features
         that are not finite raise ``DataError`` before the first step.
-
-        On glibc, a fit first raises the allocator's trim threshold (to
-        256 MB) and mmap threshold (to 32 MB) for the whole process, and
-        leaves them raised: freed step buffers then stay in the heap
-        instead of going back to the OS and faulting in again next step.
-        The trim threshold alone would regress vision-tower steps, because
-        setting it turns off glibc's dynamic mmap threshold. Other C
-        libraries are left alone. No number a fit computes depends on this.
         """
-        _keep_freed_heap()
         cfg = self.config
         inputs = train_set.images
         if cfg.alpha_vl != 0.0 and not cfg.ln_finetune:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from lasp.autodiff import (NumericError, ShapeError, Tensor, concat,
                            grad_check, layer_norm, log_softmax, no_grad,
-                           normalize_rows, softmax, stack)
+                           normalize_rows, softmax, stack, transformer_block)
+from lasp.encoders import EncoderConfig, _Transformer
 
 arrays = st.integers(0, 2**32 - 1).map(
     lambda s: np.random.default_rng(s).standard_normal((3, 4)))
@@ -106,6 +109,79 @@ def test_fused_op_equals_composite_chain_bitwise(fused, composite):
         results.append([out.data, x.grad, g.grad, b.grad])
     for got, want in zip(*results):
         assert np.array_equal(got, want)
+
+
+def composite_block(x, w, n_heads):
+    """The pre-LN block as the op-by-op chain ``transformer_block`` fuses."""
+    b, s, d = x.shape
+    h, dh = n_heads, d // n_heads
+
+    def heads(t):
+        return t.reshape(b, s, h, dh).transpose(0, 2, 1, 3)
+
+    hdn = layer_norm(x, w["ln1_g"], w["ln1_b"])
+    q, k, v = heads(hdn @ w["wq"]), heads(hdn @ w["wk"]), heads(hdn @ w["wv"])
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
+    mixed = softmax(scores, axis=-1) @ v
+    x = x + mixed.transpose(0, 2, 1, 3).reshape(b, s, d) @ w["wo"]
+    hdn = layer_norm(x, w["ln2_g"], w["ln2_b"])
+    return x + ((hdn @ w["w1"] + w["b1"]).tanh() @ w["w2"] + w["b2"])
+
+
+LN_KEYS = ("ln1_g", "ln1_b", "ln2_g", "ln2_b")
+
+
+def block_weights(d, n_heads, seed, ln_tracked):
+    """A frozen encoder block's weights, with LayerNorm affines and FFN
+    biases moved off their ones/zeros start so every term is exercised."""
+    cfg = EncoderConfig(d_tok=d, d=d, n_layers=1, n_heads=n_heads)
+    w = _Transformer(cfg, np.random.default_rng(seed), "t").layers[0]
+    rng = np.random.default_rng(seed + 1)
+    for key in LN_KEYS + ("b1", "b2"):
+        w[key] = Tensor(w[key].data + 0.3 * rng.standard_normal(w[key].shape),
+                        requires_grad=ln_tracked and key in LN_KEYS)
+    return w
+
+
+# (shape, input tracked, LN affines tracked): a text-tower batch, a vision
+# batch with trainable LN whose input has no grad (block 0), batch 1
+@pytest.mark.parametrize("shape, x_tracked, ln_tracked", [
+    ((90, 8, 32), True, False),
+    ((65, 17, 32), False, True),
+    ((1, 8, 32), True, True),
+])
+def test_fused_block_equals_composite_chain_bitwise(shape, x_tracked,
+                                                    ln_tracked):
+    rng = np.random.default_rng(1)
+    data = rng.standard_normal(shape)
+    r = rng.standard_normal(shape)
+    results = []
+    for block in (transformer_block, composite_block):
+        w = block_weights(shape[-1], 2, 0, ln_tracked)
+        x = Tensor(data.copy(), requires_grad=x_tracked)
+        out = block(x, w, 2)
+        (out.tanh() * r).sum().backward()
+        results.append([out.data, x.grad] + [w[k].grad for k in LN_KEYS])
+    fused, chain = results
+    assert (fused[1] is None) == (not x_tracked)
+    assert all((g is None) == (not ln_tracked) for g in fused[2:])
+    for got, want in zip(fused, chain):
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_gradients_transformer_block():
+    w = block_weights(4, 2, 3, ln_tracked=True)
+    for key in ("wq", "wk", "wv", "wo", "w1", "w2"):
+        w[key] = Tensor(0.5 * w[key].data)      # keeps tanh off saturation
+    r = np.random.default_rng(4).standard_normal((2, 3, 4))
+
+    def f(x, *ln):
+        return (transformer_block(x, {**w, **dict(zip(LN_KEYS, ln))}, 2)
+                * r).sum()
+
+    report = grad_check(f, [rand((2, 3, 4), seed=5)]
+                        + [w[k] for k in LN_KEYS])
+    assert report["passed"], report["max_rel_error"]
 
 
 def test_leaf_grads_are_writable_and_own_their_memory():

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import lasp
-import lasp.trainer
+import lasp.model
 from lasp.autodiff import no_grad
+from lasp.data import _class_word_pool
 from lasp.encoders import EncoderConfig
 from lasp.errors import ConfigError, DataError, DivergenceError, InputError
 from lasp.model import PromptedClip
@@ -136,6 +137,18 @@ def test_fit_changes_prompts_and_logs(small_enc):
     assert all(np.isfinite(r[-1]) for r in log.rows)
 
 
+def test_log_rows_end_in_gnorm_and_clip_scale(small_enc):
+    # grad norms here run from about 0.02 to 0.3: some steps clip, some not
+    _, trainer, cfg = tiny_setup(small_enc, epochs=2, clip_norm=0.1)
+    log = trainer.fit(tiny_data())
+    gnorms = np.array([r[6] for r in log.rows])
+    assert (gnorms > 0).all() and np.isfinite(gnorms).all()
+    for r, line in zip(log.rows, log.lines()):
+        assert r[7] == min(1.0, cfg.clip_norm / r[6])
+        assert line.split(", ")[6:] == [f"{r[6]:.10g}", f"{r[7]:.10g}"]
+    assert min(r[7] for r in log.rows) < 1.0 == max(r[7] for r in log.rows)
+
+
 # Minor page faults per step over a second fit of a train-text-sized set-up
 # (default encoder, G = 3, 10 base + 20 virtual names, batch 16).
 FAULTS_PER_STEP = """
@@ -166,22 +179,86 @@ print((after - before) / len(log.rows))
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="the allocator settings exist on glibc only")
-def test_fit_keeps_freed_step_buffers_in_the_heap():
-    # In a fresh process: an earlier test's fit has already raised the
-    # thresholds in this one. Without them, glibc returns a step's freed
-    # buffers to the OS and the next step faults them in again: about
-    # 1,200 faults a step.
+# Minor page faults of a second no-grad encode of 1,000 images (16 chunks).
+FAULTS_PER_ENCODE = """
+import resource
+import numpy as np
+from lasp.encoders import IMAGE_SHAPE, EncoderConfig
+from lasp.model import PromptedClip
+from lasp.prompts import init_prompts, load_template_bank, split_templates
+from lasp.trainer import FewShotDataset
+
+enc = EncoderConfig()
+model = PromptedClip(enc, init_prompts(1, 4, enc.d_tok, enc.d, 0),
+                     split_templates(load_template_bank("6"), 1, 0))
+rng = np.random.default_rng(0)
+data = FewShotDataset(rng.random((1000,) + IMAGE_SHAPE),
+                      np.zeros(1000, dtype=np.int64), "base-test")
+model.frozen_features(data)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+model.frozen_features(data)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(after - before)
+"""
+
+
+def run_fresh(snippet: str) -> float:
+    """The number ``snippet`` prints, run in a fresh process: an earlier
+    test's model build has already raised the thresholds in this one."""
     src = str(Path(lasp.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (
                    src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
-                          FAULTS_PER_STEP], env=env, capture_output=True,
+                          snippet], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert float(out.stdout) < 100
+    return float(out.stdout)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator settings exist on glibc only")
+def test_fit_keeps_freed_step_buffers_in_the_heap():
+    # Without the settings, glibc returns a step's freed buffers to the OS
+    # and the next step faults them in again: about 1,200 faults a step.
+    assert run_fresh(FAULTS_PER_STEP) < 100
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator settings exist on glibc only")
+def test_encoding_keeps_freed_chunk_buffers_in_the_heap():
+    # A no-grad block frees its activations when it returns. Without the
+    # settings a model build makes, each 64-image chunk faults them in
+    # again: about 16,000 faults per 1,000 images.
+    assert run_fresh(FAULTS_PER_ENCODE) < 100
+
+
+def tape_nodes(root) -> int:
+    """Tape nodes reachable from ``root``, leaves included."""
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
+def test_train_text_step_tape_size():
+    # A train-text-shaped step (default encoder, G = 3, frozen vision
+    # features, 10 base + 20 virtual one-word names, batch 16): one text
+    # pass of two block nodes, plus the losses. Each transformer block was
+    # 26 nodes before it became one, and the step 142.
+    names = _class_word_pool()[:30]
+    enc = EncoderConfig()
+    model = PromptedClip(enc, init_prompts(3, 4, enc.d_tok, enc.d, 0),
+                         split_templates(load_template_bank("6"), 3, 0))
+    cfg = TrainConfig(batch_size=16, groups=3,
+                      virtual_classes=tuple(names[10:]))
+    trainer = Trainer(model, ClassVocabulary(names[:10]), cfg)
+    feats = np.random.default_rng(0).standard_normal((16, enc.d))
+    _, _, total = trainer._losses(feats, np.arange(16) % 10)
+    assert tape_nodes(total) == 92
 
 
 def test_fit_leaves_another_libc_alone(small_enc, monkeypatch):
@@ -189,7 +266,7 @@ def test_fit_leaves_another_libc_alone(small_enc, monkeypatch):
         raise AssertionError("touched the C library off glibc")
     monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("musl", "1.2"))
     monkeypatch.setattr(ctypes, "CDLL", no_native_call)
-    lasp.trainer._keep_freed_heap()
+    lasp.model._keep_freed_heap()
     model, trainer, _ = tiny_setup(small_enc, epochs=2)
     before = model.prompt_set.vectors.data.copy()
     log = trainer.fit(tiny_data())
@@ -207,7 +284,7 @@ def test_a_refused_heap_setting_warns(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
         mallopt=refuse))
     with pytest.warns(RuntimeWarning, match="refused mallopt") as caught:
-        lasp.trainer._keep_freed_heap()
+        lasp.model._keep_freed_heap()
     assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
     assert len(caught) == 2
 
