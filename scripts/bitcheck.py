@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Print one sha256 per output of lasp, to show that a change keeps every bit.
+
+Run it on two checkouts and compare the outputs:
+
+    PYTHONPATH=src python3 scripts/bitcheck.py > after.txt
+    (cd ../parent && PYTHONPATH=src python3 scripts/bitcheck.py) > before.txt
+    diff before.txt after.txt
+
+Each line is ``<sha256>  <output>``. The outputs are:
+
+- every file ``lasp fixture`` writes;
+- ``checkpoint.bin``, ``train.log`` and ``report.kv`` of a short
+  ``lasp train``, and of one with ``ln_finetune=1``;
+- the frozen features of every fixture split and the anchors of its class
+  names, from an untrained model built on the written fixture;
+- text-tower features and input grads of random embeddings at every
+  ``(B, S)`` of ``--text-batches`` x ``--text-lengths``;
+- vision-tower features, pixel grads and the 10 LayerNorm-affine grads of
+  random images at each of ``--vision-batches``, with the affines trained.
+
+``--seed`` and ``--set`` go to both commands; ``--set`` makes a small run
+(``--set n_base=2 --set center_steps=5`` and so on).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from lasp.autodiff import Tensor
+from lasp.cli import RunContext, main as lasp_main, resolve_config
+from lasp.encoders import IMAGE_SHAPE, EncoderConfig, TextEncoder, VisionEncoder
+
+TEXT_BATCHES = (1, 5, 90)
+TEXT_LENGTHS = tuple(range(2, 33))
+VISION_BATCHES = (1, 2, 3, 17, 64, 65)
+
+
+def sha(data) -> str:
+    if isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_lasp(argv: list[str]):
+    """Run one ``lasp`` command; its own stdout is not part of the output."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = lasp_main(argv)
+    if code != 0:
+        raise SystemExit(f"lasp {' '.join(argv)} exited {code}")
+
+
+def file_lines(root: str, label: str, names=None):
+    if names is None:
+        names = sorted(os.path.relpath(os.path.join(d, f), root)
+                       for d, _, files in os.walk(root) for f in files)
+    for name in names:
+        with open(os.path.join(root, name), "rb") as fh:
+            yield sha(fh.read()), f"{label}/{name}"
+
+
+def model_lines(fixture: str, sets: list[str], seed: int):
+    ctx = RunContext(resolve_config(
+        None, sets + [f"manifest={os.path.join(fixture, 'manifest.json')}"],
+        seed))
+    model = ctx.build_model()
+    for split, ds in sorted(ctx.splits.items()):
+        yield sha(model.frozen_features(ds)), f"frozen-features/{split}"
+    yield (sha(model.anchors(ctx.base_names + ctx.new_names)),
+           "anchors/base+new")
+
+
+def text_lines(batches, lengths):
+    enc = TextEncoder(EncoderConfig())
+    d = enc.cfg.d_tok
+    for b in batches:
+        for s in lengths:
+            rng = np.random.default_rng(1000 * b + s)
+            x = Tensor(rng.standard_normal((b, s, d)), requires_grad=True)
+            feats = enc.encode_batch(x)
+            (feats.tanh() * rng.standard_normal((b, d))).sum().backward()
+            yield sha(feats.data), f"text/B{b}-S{s}/features"
+            yield sha(x.grad), f"text/B{b}-S{s}/input-grad"
+
+
+def vision_lines(batches):
+    enc = VisionEncoder(EncoderConfig())
+    enc.set_ln_trainable(True)
+    ln = {k: t for k, t in enc.trunk.named_params().items() if t.requires_grad}
+    for b in batches:
+        rng = np.random.default_rng(b)
+        x = Tensor(rng.random((b, *IMAGE_SHAPE)), requires_grad=True)
+        r = rng.standard_normal((b, enc.cfg.d))
+        for t in ln.values():
+            t.zero_grad()
+        feats = enc.encode_batch(x)
+        (feats.tanh() * r).sum().backward()
+        yield sha(feats.data), f"vision/B{b}/features"
+        yield sha(x.grad), f"vision/B{b}/pixel-grad"
+        for name, t in ln.items():
+            yield sha(t.grad), f"vision/B{b}/{name}-grad"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                    help="config override for fixture and train (repeatable)")
+    ap.add_argument("--epochs", type=int, default=20,
+                    help="epochs of the short train run")
+    ap.add_argument("--text-batches", type=int, nargs="+",
+                    default=list(TEXT_BATCHES))
+    ap.add_argument("--text-lengths", type=int, nargs="+",
+                    default=list(TEXT_LENGTHS))
+    ap.add_argument("--vision-batches", type=int, nargs="+",
+                    default=list(VISION_BATCHES))
+    args = ap.parse_args(argv)
+    sets = [a for kv in args.set for a in ("--set", kv)]
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = os.path.join(tmp, "fixture")
+        common = ["--seed", str(args.seed)] + sets
+        run_lasp(["fixture", "--out", fixture] + common)
+        lines += file_lines(fixture, "fixture")
+        for label, extra in (("train", []),
+                             ("train-ln", ["--set", "ln_finetune=1"])):
+            out = os.path.join(tmp, label)
+            run_lasp(["train", "--out", out, "--set", f"epochs={args.epochs}",
+                      "--set", f"warmup_epochs={min(5, args.epochs)}"]
+                     + extra + common)
+            lines += file_lines(out, label,
+                                ["checkpoint.bin", "train.log", "report.kv"])
+        lines += model_lines(fixture, args.set, args.seed)
+    lines += text_lines(args.text_batches, args.text_lengths)
+    lines += vision_lines(args.vision_batches)
+    for digest, name in lines:
+        print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -426,7 +426,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
     return Tensor._make(out_data, (x, gain, bias), bw)
 
 
-def transformer_block(x: Tensor, w: Mapping[str, Tensor], n_heads: int) -> Tensor:
+def transformer_block(x: Tensor, w: Mapping[str, Tensor], n_heads: int,
+                      rows: slice | None = None) -> Tensor:
     """One pre-LN transformer block over a (B, S, D) batch, as one node.
 
     ``a = x + attention(LN1(x))`` with ``n_heads`` heads, then
@@ -435,12 +436,26 @@ def transformer_block(x: Tensor, w: Mapping[str, Tensor], n_heads: int) -> Tenso
     tensors. The node's parents are ``x`` and the four LayerNorm affines;
     both LayerNorms use eps ``LN_EPS``.
 
+    ``rows``, if given, selects two adjacent query rows and the output is
+    (B, 2, D): those rows of the full block's output. LN1, K and V still
+    run over all S rows; the queries, the attention mix, the residual, LN2
+    and the feed-forward run on the two rows only. A tower's last block
+    uses this, since only its pooled row reaches the feature. Two rows, not
+    one, because BLAS picks its kernel by row count: a row's bits are the
+    same in a gemm of 2 to 37 rows, but not in a 1-row gemm.
+
     Forward and backward evaluate the numpy expressions of the op-by-op
     chain (matmul, reshape, transpose, ``*``, ``softmax``, ``+``, ``tanh``,
     ``layer_norm`` nodes) in the chain's order, so the output and every
     grad equal the chain's bit for bit. In particular each residual's grad
     accumulates as ``(g + centred) + mean`` and LN1's output grad as
-    ``(q + k) + v``, as the tape's reverse topological order adds them.
+    ``(q + k) + v``, as the tape's reverse topological order adds them. In
+    the two-row form the rows' q part and residual grad are scattered into
+    zero (B, S, D) arrays before those sums, and ``g @ w2.T`` runs on the
+    zero-padded (B, S, D) output grad, then keeps the two rows: with
+    numpy's bundled OpenBLAS a 2-row product there gives other bits than
+    the full pass's at S >= 19. So, given a grad on the pooled row alone,
+    every grad equals the full block's.
     """
     x = Tensor._lift(x)
     ln1_g, ln1_b, ln2_g, ln2_b = (w[k] for k in ("ln1_g", "ln1_b",
@@ -448,20 +463,38 @@ def transformer_block(x: Tensor, w: Mapping[str, Tensor], n_heads: int) -> Tenso
     wq, wk, wv, wo, w1, w2 = (w[k].data for k in ("wq", "wk", "wv", "wo",
                                                   "w1", "w2"))
     b, s, d = x.data.shape
+    if rows is None:
+        rows, n = slice(None), s
+    else:
+        if s < 2:
+            raise ShapeError(f"a two-row block needs S >= 2, got S = {s}")
+        start, stop, step = rows.indices(s)
+        if step != 1 or stop - start != 2:
+            raise ShapeError(f"rows must select two adjacent rows of S = {s}, "
+                             f"got {rows}")
+        n = 2
     h, dh = n_heads, d // n_heads
     scale = np.asarray(1.0 / math.sqrt(dh))
 
     def heads(t):
-        return t.reshape(b, s, h, dh).transpose(0, 2, 1, 3)
+        return t.reshape(*t.shape[:2], h, dh).transpose(0, 2, 1, 3)
 
     def merge(t):
-        return t.transpose(0, 2, 1, 3).reshape(b, s, d)
+        return t.transpose(0, 2, 1, 3).reshape(b, t.shape[2], d)
+
+    def pad(t):
+        """The rows' (B, n, D) grad as the full pass's (B, S, D) one."""
+        if n == s:
+            return t
+        full = np.zeros((b, s, t.shape[-1]))
+        full[:, rows] = t
+        return full
 
     ln1, ln1_saved = _layer_norm_data(x.data, ln1_g.data, ln1_b.data, LN_EPS)
-    q, k, v = heads(ln1 @ wq), heads(ln1 @ wk), heads(ln1 @ wv)
+    q, k, v = heads(ln1[:, rows] @ wq), heads(ln1 @ wk), heads(ln1 @ wv)
     kt = k.transpose(0, 1, 3, 2)
     p = np.exp(_log_softmax_data((q @ kt) * scale, -1, "softmax"))
-    a = x.data + merge(p @ v) @ wo
+    a = x.data[:, rows] + merge(p @ v) @ wo
     ln2, ln2_saved = _layer_norm_data(a, ln2_g.data, ln2_b.data, LN_EPS)
     act = np.tanh(ln2 @ w1 + w["b1"].data)
     out_data = a + (act @ w2 + w["b2"].data)
@@ -470,7 +503,7 @@ def transformer_block(x: Tensor, w: Mapping[str, Tensor], n_heads: int) -> Tenso
         want_x = _tracked(x)
         want_a = want_x or _tracked(ln1_g) or _tracked(ln1_b)
         # feed-forward half, down to the grad of ``a``
-        gh = g @ np.swapaxes(w2, -1, -2)
+        gh = (pad(g) @ np.swapaxes(w2, -1, -2))[:, rows]
         gh = gh * (1.0 - act * act)
         terms = _layer_norm_grad(gh @ np.swapaxes(w1, -1, -2), ln2_g, ln2_b,
                                  ln2_saved, want_a)
@@ -478,18 +511,18 @@ def transformer_block(x: Tensor, w: Mapping[str, Tensor], n_heads: int) -> Tenso
             return
         ga = (g + terms[0]) + terms[1]
         # attention half: mixed values, scores, then q, k, v back to LN1
-        gm = (ga @ np.swapaxes(wo, -1, -2)).reshape(b, s, h, dh)
+        gm = (ga @ np.swapaxes(wo, -1, -2)).reshape(b, n, h, dh)
         gm = gm.transpose(0, 2, 1, 3)
         gv = np.swapaxes(p, -1, -2) @ gm
         gs = _softmax_grad(gm @ np.swapaxes(v, -1, -2), p, -1) * scale
         gq = gs @ np.swapaxes(kt, -1, -2)
         gk = (np.swapaxes(q, -1, -2) @ gs).transpose(0, 1, 3, 2)
-        gln1 = merge(gq) @ np.swapaxes(wq, -1, -2)
+        gln1 = pad(merge(gq) @ np.swapaxes(wq, -1, -2))
         gln1 = gln1 + merge(gk) @ np.swapaxes(wk, -1, -2)
         gln1 = gln1 + merge(gv) @ np.swapaxes(wv, -1, -2)
         terms = _layer_norm_grad(gln1, ln1_g, ln1_b, ln1_saved, want_x)
         if want_x:
-            x._accum(ga)
+            x._accum(pad(ga))
             x._accum(terms[0])
             x._accum(terms[1])
 

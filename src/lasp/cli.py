@@ -262,7 +262,7 @@ class RunContext:
             self.new_names = list(manifest.new_classes)
         else:
             data = make_synthetic_dataset(self.spec, self.enc_cfg,
-                                          template_source=cfg["templates"])
+                                          template_source=self.templates)
             self.splits = data.splits
             self.base_names = list(data.base_names)
             self.new_names = list(data.new_names)

@@ -282,11 +282,15 @@ def _center_targets(probe: PromptedClip, names: list[str],
 
 def make_synthetic_dataset(spec: SyntheticDatasetSpec,
                            enc_cfg: EncoderConfig | None = None,
-                           template_source: str = "34") -> SyntheticDataset:
+                           template_source: TemplateBank | str = "34"
+                           ) -> SyntheticDataset:
+    """The synthetic fixture. Its class centers are aimed at the anchors of
+    ``template_source``: a loaded bank, or a ``load_template_bank`` source."""
     enc_cfg = enc_cfg or EncoderConfig()
     names = permuted_class_words(spec.seed)[: spec.n_base + spec.n_new]
     base_names, new_names = names[: spec.n_base], names[spec.n_base :]
-    bank = load_template_bank(template_source)
+    bank = (template_source if isinstance(template_source, TemplateBank)
+            else load_template_bank(template_source))
     probe = PromptedClip(enc_cfg, init_prompts(1, 1, enc_cfg.d_tok, enc_cfg.d, 0), bank)
     targets = _center_targets(probe, names, spec)
     with_centers = _aligned_centers(probe, targets, spec,

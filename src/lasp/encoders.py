@@ -39,6 +39,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.d_tok % self.n_heads != 0:
             raise ConfigError("d_tok must divide evenly into heads")
+        if self.n_layers < 1:
+            raise ConfigError("n_layers must be >= 1")
 
 
 def _gauss(rng, shape):
@@ -53,7 +55,9 @@ def _weight(rng, shape):
 
 class _Transformer:
     """Shared pre-LN transformer stack over (B, S, D) inputs; each block is
-    one tape node (``autodiff.transformer_block``)."""
+    one tape node (``autodiff.transformer_block``). Only the pooled row's
+    path is computed in the last block: it runs on two adjacent rows that
+    hold the pooled one (see ``transformer_block``'s ``rows``)."""
 
     def __init__(self, cfg: EncoderConfig, rng, prefix: str):
         self.cfg = cfg
@@ -95,9 +99,13 @@ class _Transformer:
         out[f"{self.prefix}.ln_f_b"] = self.ln_f_b
         return out
 
-    def forward(self, x: Tensor) -> Tensor:
-        for lyr in self.layers:
+    def forward(self, x: Tensor, rows: slice) -> Tensor:
+        """(B, 2, D) final-LayerNorm outputs of the two ``rows``, which are
+        bit for bit those rows of the whole stack's output."""
+        *early, last = self.layers
+        for lyr in early:
             x = transformer_block(x, lyr, self.cfg.n_heads)
+        x = transformer_block(x, last, self.cfg.n_heads, rows=rows)
         return layer_norm(x, self.ln_f_g, self.ln_f_b)
 
 
@@ -130,20 +138,26 @@ class TextEncoder:
         return self.embed_ids(ids)
 
     def encode_batch(self, x: Tensor) -> Tensor:
-        """(..., d) features of (..., S, d_tok) embeddings, any leading shape.
+        """(..., d) features of (..., S, d_tok) embeddings, any leading shape
+        and S >= 2.
 
-        The trunk runs once over the flattened batch. The pooled rows get
-        their leading shape back before ``@ proj``, so each trailing batch is
-        projected by its own matrix product, as it would be on its own (BLAS
-        picks the kernel by row count).
+        The trunk runs once over the flattened batch, its last block on rows
+        S-2 and S-1 only. The pooled rows get their leading shape back before
+        ``@ proj``, so each trailing batch is projected by its own matrix
+        product, as it would be on its own (BLAS picks the kernel by row
+        count).
         """
         if x.data.ndim < 3:
             raise InputError(f"expected (..., S, d_tok) embeddings, got {x.shape}")
         *lead, s, d_tok = x.shape
         if s > self.cfg.max_len:
             raise InputError(f"sequence length {s} exceeds max {self.cfg.max_len}")
-        h = self.trunk.forward(x.reshape(-1, s, d_tok) + self.pos[:s])
-        pooled = h[:, s - 1, :]          # end token is always last
+        if s < 2:
+            raise InputError(f"sequence length {s}: a sequence holds at least "
+                             f"its start and end tokens")
+        h = self.trunk.forward(x.reshape(-1, s, d_tok) + self.pos[:s],
+                               slice(s - 2, s))
+        pooled = h[:, 1, :]              # end token is always last
         return pooled.reshape(*lead, d_tok) @ self.proj
 
 
@@ -188,8 +202,8 @@ class VisionEncoder:
         tokens = self._patchify(images) @ self.w_patch
         cls = Tensor(np.broadcast_to(self.cls, (b, 1, self.cfg.d_tok)).copy())
         x = concat([cls, tokens], axis=1) + self.pos
-        x = self.trunk.forward(x)
-        return x[:, 0, :] @ self.proj
+        x = self.trunk.forward(x, slice(0, 2))
+        return x[:, 0, :] @ self.proj    # class token is first
 
 
 def trainable_parameters(prompt_set, vision_encoder: VisionEncoder,

@@ -169,18 +169,94 @@ def test_fused_block_equals_composite_chain_bitwise(shape, x_tracked,
         assert (got is None and want is None) or np.array_equal(got, want)
 
 
-def test_gradients_transformer_block():
+def blas() -> str:
+    """numpy's BLAS, for the messages of tests that pin its bits."""
+    dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return dep.get("openblas configuration") or f"{dep['name']} {dep['version']}"
+
+
+def pooled_grads(shape, rows, pooled, x_tracked, ln_tracked):
+    """The pooled row's output, the input grad and the four LN-affine grads
+    of the full block and of its two-row form, given a grad on that row
+    alone (as the towers' pooling gives)."""
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    data = rng.standard_normal(shape)
+    r = rng.standard_normal((shape[0], shape[2]))
+    results = []
+    for form, row in ((None, pooled), (rows, pooled - rows.start)):
+        w = block_weights(shape[-1], 2, 0, ln_tracked)
+        x = Tensor(data.copy(), requires_grad=x_tracked)
+        out = transformer_block(x, w, 2, rows=form)[:, row]
+        (out.tanh() * r).sum().backward()
+        results.append([out.data, x.grad] + [w[k].grad for k in LN_KEYS])
+    return results
+
+
+def differing(cases):
+    """The cases whose two-row results differ from the full block's."""
+    bad = []
+    for case in cases:
+        full, two = pooled_grads(*case)
+        if not all((a is None and b is None) or np.array_equal(a, b)
+                    for a, b in zip(full, two)):
+            bad.append(case[0])
+    return bad
+
+
+# Text pools its last row (rows S-2:S) and vision its first (rows 0:2). The
+# rows' bits equal the full pass's because this BLAS gives a row the same
+# bits in any gemm of 2 to 37 rows; a BLAS without that rule fails here.
+@pytest.mark.parametrize("batch", [1, 5, 90])
+@pytest.mark.parametrize("x_tracked", [True, False])
+def test_two_row_block_equals_full_block_text_bitwise(batch, x_tracked):
+    bad = differing([((batch, s, 32), slice(s - 2, s), s - 1, x_tracked, False)
+                     for s in range(2, 33)])
+    assert not bad, f"two-row block differs from the full block at {bad} " \
+                    f"with BLAS {blas()}"
+
+
+def test_two_row_block_equals_full_block_vision_bitwise():
+    bad = differing([((b, 17, 32), slice(0, 2), 0, True, True)
+                     for b in (1, 2, 3, 17, 64, 65)])
+    assert not bad, f"two-row block differs from the full block at {bad} " \
+                    f"with BLAS {blas()}"
+
+
+def test_two_row_block_needs_two_adjacent_rows():
+    w = block_weights(4, 2, 0, ln_tracked=False)
+    with pytest.raises(ShapeError, match="needs S >= 2, got S = 1"):
+        transformer_block(Tensor(np.zeros((3, 1, 4))), w, 2, rows=slice(0, 2))
+    for rows in (slice(0, 3), slice(0, 1), slice(0, 4, 2)):
+        with pytest.raises(ShapeError, match="two adjacent rows of S = 5"):
+            transformer_block(Tensor(np.zeros((3, 5, 4))), w, 2, rows=rows)
+
+
+def block_grad_check(s, rows):
+    """``grad_check`` of a (2, s, 4) block's input and LN affines."""
     w = block_weights(4, 2, 3, ln_tracked=True)
     for key in ("wq", "wk", "wv", "wo", "w1", "w2"):
         w[key] = Tensor(0.5 * w[key].data)      # keeps tanh off saturation
-    r = np.random.default_rng(4).standard_normal((2, 3, 4))
+    n = s if rows is None else 2
+    r = np.random.default_rng(4).standard_normal((2, n, 4))
 
     def f(x, *ln):
-        return (transformer_block(x, {**w, **dict(zip(LN_KEYS, ln))}, 2)
-                * r).sum()
+        return (transformer_block(x, {**w, **dict(zip(LN_KEYS, ln))}, 2,
+                                  rows=rows) * r).sum()
 
-    report = grad_check(f, [rand((2, 3, 4), seed=5)]
-                        + [w[k] for k in LN_KEYS])
+    return grad_check(f, [rand((2, s, 4), seed=5)] + [w[k] for k in LN_KEYS])
+
+
+def test_gradients_transformer_block():
+    report = block_grad_check(3, None)
+    assert report["passed"], report["max_rel_error"]
+
+
+# the last two rows, the first two, and a sequence of two, where the two
+# rows are the whole sequence
+@pytest.mark.parametrize("s, rows", [(3, slice(1, 3)), (3, slice(0, 2)),
+                                     (2, slice(0, 2))])
+def test_gradients_two_row_transformer_block(s, rows):
+    report = block_grad_check(s, rows)
     assert report["passed"], report["max_rel_error"]
 
 

@@ -382,6 +382,23 @@ def test_fixture_writes_dataset(tmp_path, capsys):
     assert not (out / "matrices").exists()
 
 
+def test_fixture_loads_the_template_bank_once(tmp_path, monkeypatch):
+    import lasp.cli
+    import lasp.data
+    import lasp.prompts
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return lasp.prompts.load_template_bank(source)
+
+    for module in (lasp.cli, lasp.data):
+        monkeypatch.setattr(module, "load_template_bank", counting)
+    code, _ = run(["fixture"] + FAST, tmp_path)
+    assert code == EXIT_OK
+    assert calls == ["6"]
+
+
 @pytest.mark.parametrize("mode", ["learned", "zero-shot"])
 def test_eval_on_written_fixture_matches_in_memory(tmp_path, mode):
     code, data = run(["fixture"] + FAST, tmp_path, "data")

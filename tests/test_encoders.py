@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lasp.autodiff import Tensor
+from lasp.autodiff import Tensor, concat, layer_norm, transformer_block
 from lasp.encoders import (EncoderConfig, TextEncoder, VisionEncoder,
                            trainable_parameters)
 from lasp.errors import ConfigError, InputError
@@ -11,6 +11,8 @@ from lasp.prompts import init_prompts
 def test_config_validation():
     with pytest.raises(ConfigError):
         EncoderConfig(d_tok=10, n_heads=4)
+    with pytest.raises(ConfigError, match="n_layers must be >= 1"):
+        EncoderConfig(n_layers=0)
 
 
 def test_text_encoder_shapes_and_determinism(small_enc):
@@ -44,6 +46,8 @@ def test_text_encoder_rejects_overlong(small_enc):
                                          small_enc.d_tok))))
     with pytest.raises(InputError):
         te.encode_batch(Tensor(np.zeros((4, small_enc.d_tok))))
+    with pytest.raises(InputError, match="sequence length 1"):
+        te.encode_batch(Tensor(np.zeros((4, 1, small_enc.d_tok))))
     with pytest.raises(InputError):
         te.encode_batch(Tensor(np.zeros((2, 1, small_enc.max_len + 1,
                                          small_enc.d_tok))))
@@ -96,3 +100,58 @@ def test_trainable_parameters_scope(small_enc):
     on = trainable_parameters(prompts, ve, ln_finetune=True)
     extra = set(on) - set(off)
     assert extra and all(k.startswith("vision.") and ("ln" in k) for k in extra)
+
+
+def full_stack(trunk, x):
+    """The trunk with every block run on all rows."""
+    for lyr in trunk.layers:
+        x = transformer_block(x, lyr, trunk.cfg.n_heads)
+    return layer_norm(x, trunk.ln_f_g, trunk.ln_f_b)
+
+
+def text_reference(enc, x):
+    """Text features pooled at the end token of the full stack's output."""
+    *lead, s, d = x.shape
+    h = full_stack(enc.trunk, x.reshape(-1, s, d) + enc.pos[:s])
+    return h[:, s - 1, :].reshape(*lead, d) @ enc.proj
+
+
+def vision_reference(enc, images):
+    """Vision features pooled at the class token of the full stack's output."""
+    b, d = images.shape[0], enc.cfg.d_tok
+    cls = Tensor(np.broadcast_to(enc.cls, (b, 1, d)).copy())
+    tokens = enc._patchify(images) @ enc.w_patch
+    h = full_stack(enc.trunk, concat([cls, tokens], axis=1) + enc.pos)
+    return h[:, 0, :] @ enc.proj
+
+
+def features_and_grads(encode, data, params=()):
+    """Features of ``data`` and the grads of it and ``params``."""
+    x = Tensor(data, requires_grad=True)
+    for t in params:
+        t.zero_grad()
+    feats = encode(x)
+    r = np.random.default_rng(1).standard_normal(feats.shape)
+    (feats.tanh() * r).sum().backward()
+    return [feats.data, x.grad] + [t.grad for t in params]
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (5, 7), (3, 30, 7), (90, 19),
+                                   (2, 32)])
+def test_text_features_equal_the_full_stack_bitwise(shape):
+    enc = TextEncoder(EncoderConfig())
+    data = np.random.default_rng(0).standard_normal((*shape, enc.cfg.d_tok))
+    got = features_and_grads(enc.encode_batch, data)
+    want = features_and_grads(lambda x: text_reference(enc, x), data)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 17, 65])
+def test_vision_features_equal_the_full_stack_bitwise(batch):
+    enc = VisionEncoder(EncoderConfig())
+    enc.set_ln_trainable(True)
+    images = np.random.default_rng(batch).random((batch, 16, 16, 3))
+    ln = enc.trunk.ln_params()
+    got = features_and_grads(enc.encode_batch, images, ln)
+    want = features_and_grads(lambda x: vision_reference(enc, x), images, ln)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

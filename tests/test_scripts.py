@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import subprocess
 from pathlib import Path
 
@@ -71,6 +72,33 @@ def test_run_benchmark_negative_seed_exits_2_before_fixture(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: seed must be >= 0\n"
+
+
+def test_bitcheck_smoke(capsys):
+    small = ["center_steps=20", "warmup_epochs=0", "n_base=2", "n_new=2",
+             "samples_per_class=3", "test_samples=2", "shots=2",
+             "batch_size=4", "groups=2", "templates=6"]
+    argv = ([a for kv in small for a in ("--set", kv)]
+            + ["--epochs", "1", "--text-batches", "2", "--text-lengths", "2",
+               "5", "--vision-batches", "1", "2"])
+    bitcheck = load_script("bitcheck")
+    assert bitcheck.main(argv) == 0
+    out = capsys.readouterr().out
+    assert bitcheck.main(argv) == 0
+    assert capsys.readouterr().out == out        # same code, same lines
+    lines = [line.split("  ") for line in out.splitlines()]
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in lines)
+    names = [name for _, name in lines]
+    assert len(set(names)) == len(names)
+    fixture = [n for n in names if n.startswith("fixture/")]
+    assert "fixture/manifest.json" in fixture and len(fixture) == 16
+    for name in ("train/checkpoint.bin", "train/train.log",
+                 "train-ln/checkpoint.bin", "frozen-features/new-test",
+                 "anchors/base+new", "text/B2-S2/features",
+                 "text/B2-S5/input-grad", "vision/B2/pixel-grad",
+                 "vision/B1/vision.ln_f_b-grad"):
+        assert name in names, name
+    assert len([n for n in names if n.startswith("vision/B2/")]) == 12
 
 
 def test_reproduce_ablations_smoke(tmp_path):
