@@ -33,7 +33,6 @@ from .model import PromptedClip
 from .prompts import (ClassVocabulary, TemplateBank, generate_random_templates,
                       init_prompts, init_prompts_from_words,
                       load_template_bank, split_templates)
-from .tokenizer import Tokenizer
 from .trainer import (TrainConfig, Trainer, load_checkpoint, sample_few_shot,
                       save_checkpoint)
 
@@ -215,17 +214,16 @@ class RunContext:
             raise ConfigError(f"m_prompts={self.m} leaves no room for a class "
                               f"name: start, prompts, name and end must fit "
                               f"in {self.enc_cfg.max_len} tokens")
-        # one tokenizer and text tower read every model's prompt words
-        self.tokenizer = Tokenizer(max_len=self.enc_cfg.max_len)
+        # one text tower and its tokenizer read every model's prompt words
+        self.text_encoder = TextEncoder(self.enc_cfg)
         phrase = cfg["prompt_words"]
-        words = self.tokenizer.words_of(phrase)
+        words = self.text_encoder.tokenizer.words_of(phrase)
         if phrase and not words:
             raise ConfigError(f"prompt words {phrase!r} yielded no tokens")
         if words and self.m > len(words):
             raise ConfigError(f"m_prompts={self.m} exceeds the {len(words)} "
                               f"words of prompt words {phrase!r}")
         self.words = words[:self.m]
-        self.text_encoder = TextEncoder(self.enc_cfg) if words else None
         self.distractors = _num(cfg, "distractors", int)
         if self.distractors < 0:
             raise ConfigError("config key distractors must be >= 0")
@@ -332,8 +330,8 @@ class RunContext:
         enc = self.enc_cfg
         if self.words:
             prompts = init_prompts_from_words(
-                self.text_encoder, self.tokenizer, self.words, bank.groups,
-                enc.d, tcfg.seed)
+                self.text_encoder, self.text_encoder.tokenizer, self.words,
+                bank.groups, enc.d, tcfg.seed)
         else:
             prompts = init_prompts(bank.groups, self.m, enc.d_tok, enc.d,
                                    tcfg.seed)

@@ -4,7 +4,8 @@ Synthetic classes are Gaussian image clusters whose centers are optimized
 (by gradient ascent on the pixels) to align with the hand-crafted text
 anchors of their class names, so that zero-shot structure exists for the
 text-to-text machinery to exploit. ``separation`` scales the cluster
-tightness: noise std is 1/separation.
+tightness: noise std is 1/separation. The fixture reaches the frozen
+towers directly and builds no model.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from importlib import resources
 import numpy as np
 
 from .autodiff import Tensor, log_softmax, normalize_rows
-from .encoders import IMAGE_SHAPE, EncoderConfig
+from .encoders import IMAGE_SHAPE, EncoderConfig, TextEncoder, VisionEncoder
 from .errors import ConfigError, DataError
 from .losses import unit_rows
-from .model import PromptedClip
-from .prompts import (ClassVocabulary, TemplateBank, init_prompts,
-                      load_template_bank)
+from .prompts import TemplateBank, load_template_bank
 from .trainer import FewShotDataset
 
 # -- image files ---------------------------------------------------------------
@@ -208,17 +207,10 @@ class SyntheticDatasetSpec:
 
 @dataclass
 class SyntheticDataset:
-    vocabulary: ClassVocabulary
+    base_names: list[str]
+    new_names: list[str]
     splits: dict[str, FewShotDataset]
     centers: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def base_names(self):
-        return self.vocabulary.base_names
-
-    @property
-    def new_names(self):
-        return self.vocabulary.virtual_names
 
 
 def _class_word_pool() -> list[str]:
@@ -233,7 +225,7 @@ def permuted_class_words(seed: int) -> list[str]:
     return [pool[int(i)] for i in np.random.default_rng(seed).permutation(len(pool))]
 
 
-def _aligned_centers(model: PromptedClip, targets: np.ndarray,
+def _aligned_centers(vision: VisionEncoder, targets: np.ndarray,
                      spec: SyntheticDatasetSpec, rng) -> np.ndarray:
     """Gradient-ascend pixels so each class image is classified correctly
     against the given unit target directions (softmax over classes)."""
@@ -250,7 +242,7 @@ def _aligned_centers(model: PromptedClip, targets: np.ndarray,
         # annealed temperature: soft early for gradient signal, sharp late
         tau = tau_hi * (tau_lo / tau_hi) ** (it / max(steps - 1, 1))
         x.zero_grad()
-        feats = model.vision_encoder.encode_batch(x)
+        feats = vision.encode_batch(x)
         cos = normalize_rows(feats) @ an_t                 # (1, n, n)
         logp = log_softmax(cos * (1.0 / tau), axis=-1).mean(axis=0)
         (logp * eye).sum().backward()
@@ -261,18 +253,16 @@ def _aligned_centers(model: PromptedClip, targets: np.ndarray,
     return x.data.copy()
 
 
-def _center_targets(probe: PromptedClip, names: list[str],
+def _center_targets(text: TextEncoder, bank: TemplateBank, names: list[str],
                     spec: SyntheticDatasetSpec) -> np.ndarray:
     """Unit target directions: template-mean anchors, with new-class targets
     optionally rotated toward an out-of-bank context so hand-crafted anchors
     are imperfect for exactly the classes that have no training images."""
-    anchors = probe.anchors(names)                         # (L, C, d)
+    anchors = text.anchors(bank.templates, names)          # (L, C, d)
     base_dir = unit_rows(unit_rows(anchors).mean(axis=0))  # (C, d)
     if spec.context_shift == 0.0:
         return base_dir
-    alt = PromptedClip(probe.cfg, probe.prompt_set,
-                       TemplateBank([SHIFT_TEMPLATE]))
-    alt_dir = unit_rows(alt.anchors(names)[0])
+    alt_dir = unit_rows(text.anchors([SHIFT_TEMPLATE], names)[0])
     g = spec.context_shift
     targets = base_dir.copy()
     targets[spec.n_base:] = unit_rows((1 - g) * base_dir[spec.n_base:]
@@ -285,15 +275,15 @@ def make_synthetic_dataset(spec: SyntheticDatasetSpec,
                            template_source: TemplateBank | str = "34"
                            ) -> SyntheticDataset:
     """The synthetic fixture. Its class centers are aimed at the anchors of
-    ``template_source``: a loaded bank, or a ``load_template_bank`` source."""
+    ``template_source``: a loaded bank, or a ``load_template_bank`` source.
+    It builds a text tower for the anchors and a vision tower for the ascent."""
     enc_cfg = enc_cfg or EncoderConfig()
     names = permuted_class_words(spec.seed)[: spec.n_base + spec.n_new]
     base_names, new_names = names[: spec.n_base], names[spec.n_base :]
     bank = (template_source if isinstance(template_source, TemplateBank)
             else load_template_bank(template_source))
-    probe = PromptedClip(enc_cfg, init_prompts(1, 1, enc_cfg.d_tok, enc_cfg.d, 0), bank)
-    targets = _center_targets(probe, names, spec)
-    with_centers = _aligned_centers(probe, targets, spec,
+    targets = _center_targets(TextEncoder(enc_cfg), bank, names, spec)
+    with_centers = _aligned_centers(VisionEncoder(enc_cfg), targets, spec,
                                     np.random.default_rng(spec.seed))
 
     std = 1.0 / spec.separation
@@ -315,8 +305,7 @@ def make_synthetic_dataset(spec: SyntheticDatasetSpec,
         "base-test": cluster(base_idx, spec.test_samples, "base-test"),
         "new-test": cluster(new_idx, spec.test_samples, "new-test"),
     }
-    vocab = ClassVocabulary(base_names, new_names)
-    return SyntheticDataset(vocab, splits, centers=with_centers)
+    return SyntheticDataset(base_names, new_names, splits, centers=with_centers)
 
 
 def write_dataset(out_dir, splits: dict[str, FewShotDataset],

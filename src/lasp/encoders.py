@@ -7,14 +7,18 @@ pixels) and, when enabled, the vision tower's LayerNorm affine params.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import platform
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, layer_norm, transformer_block
-from .errors import ConfigError, InputError
-from .tokenizer import VOCAB_SIZE
+from .autodiff import Tensor, concat, layer_norm, no_grad, transformer_block
+from .errors import ConfigError, InputError, TemplateError
+from .prompts import render_template
+from .tokenizer import END_ID, START_ID, VOCAB_SIZE, Tokenizer
 
 # Frozen settings no configuration varies.
 TAU = 0.01            # temperature; frozen, CLIP's converged value
@@ -43,6 +47,48 @@ class EncoderConfig:
             raise ConfigError("n_layers must be >= 1")
 
 
+def _by_length(seqs: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Equal-length sequences stacked into one batch each, in order of first
+    appearance, and the index array that puts the batches' rows back in
+    input order."""
+    buckets: dict[int, list[int]] = {}
+    for i, s in enumerate(seqs):
+        buckets.setdefault(len(s), []).append(i)
+    batches = [np.stack([seqs[i] for i in idxs]) for idxs in buckets.values()]
+    return batches, np.argsort(np.concatenate(list(buckets.values())))
+
+
+# glibc mallopt parameters (name, number in malloc.h) and the values a tower
+# build sets
+_HEAP_SETTINGS = (("M_TRIM_THRESHOLD", -1, 256 << 20),
+                  ("M_MMAP_THRESHOLD", -3, 32 << 20))
+
+
+def _keep_freed_heap() -> None:
+    """Keep the memory a tower pass frees in this process's heap (glibc only).
+
+    A train step frees a few MB of tape buffers, and an encode without a
+    tape frees each block's activations when the block returns. By default
+    glibc trims the top of the heap back to the OS, and the next step or
+    chunk faults the same pages in again. A trim threshold of 256 MB stops
+    that. Setting any threshold also turns off glibc's dynamic mmap
+    threshold, after which the vision tower's ~560 KB activations would be
+    mmapped and unmapped every pass, so the mmap threshold is raised to
+    32 MB as well. Neither is ever undone. Calling this again sets the same
+    values; off glibc it does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for name, param, value in _HEAP_SETTINGS:
+        if mallopt(param, value) != 1:
+            # the numbers do not depend on it; only time and faults do
+            warnings.warn(f"glibc refused mallopt({name}, {value})",
+                          RuntimeWarning, stacklevel=2)
+
+
 def _gauss(rng, shape):
     return rng.normal(0.0, EMB_STD, size=shape)
 
@@ -57,9 +103,15 @@ class _Transformer:
     """Shared pre-LN transformer stack over (B, S, D) inputs; each block is
     one tape node (``autodiff.transformer_block``). Only the pooled row's
     path is computed in the last block: it runs on two adjacent rows that
-    hold the pooled one (see ``transformer_block``'s ``rows``)."""
+    hold the pooled one (see ``transformer_block``'s ``rows``).
+
+    Building one calls ``_keep_freed_heap``, so the fixture's pixel ascent,
+    training and evaluation all run under one allocator setting, while
+    importing lasp changes none.
+    """
 
     def __init__(self, cfg: EncoderConfig, rng, prefix: str):
+        _keep_freed_heap()
         self.cfg = cfg
         self.prefix = prefix
         self.layers = []
@@ -110,15 +162,24 @@ class _Transformer:
 
 
 class TextEncoder:
-    """Frozen text tower; pools at the end-token (last) position."""
+    """Frozen text tower; pools at the end-token (last) position.
+
+    It owns the tokenizer of its ``max_len`` and the frozen text work: the
+    anchors of hand-crafted templates and the constant name frames of
+    learnable prompts, each cached per input.
+    """
 
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
+        self.tokenizer = Tokenizer(max_len=cfg.max_len)
         rng = np.random.default_rng(cfg.seed)
         self.embedding = _gauss(rng, (VOCAB_SIZE, cfg.d_tok))
         self.pos = Tensor(_gauss(rng, (cfg.max_len, cfg.d_tok)))
         self.trunk = _Transformer(cfg, rng, "text")
         self.proj = Tensor(_weight(rng, (cfg.d_tok, cfg.d)))
+        self._anchor_cache: dict[tuple, np.ndarray] = {}
+        self._frame_cache: dict[tuple[str, ...],
+                                tuple[list[np.ndarray], np.ndarray]] = {}
 
     def named_params(self) -> dict[str, Tensor]:
         out = {"text.embedding": Tensor(self.embedding), "text.pos": self.pos,
@@ -129,13 +190,58 @@ class TextEncoder:
     def embed_ids(self, ids: list[int]) -> np.ndarray:
         return self.embedding[np.asarray(ids, dtype=np.int64)]
 
-    def embed_class_name(self, tokenizer, class_name: str) -> np.ndarray:
+    def embed_class_name(self, class_name: str) -> np.ndarray:
         """Word-embedding rows of the class-name tokens (no start/end)."""
         if not class_name.strip():
             raise InputError("empty class name")
-        words = tokenizer.words_of(class_name.replace("_", " "))
-        ids = [tokenizer.word_id(w) for w in words]
-        return self.embed_ids(ids)
+        tok = self.tokenizer
+        words = tok.words_of(class_name.replace("_", " "))
+        return self.embed_ids([tok.word_id(w) for w in words])
+
+    def anchors(self, templates: list[str], class_names: list[str]
+                ) -> np.ndarray:
+        """Frozen features of every template rendered with every class
+        name, shape (L, C, d); cached per (templates, class names).
+
+        A rendered template the tokenizer would cut short raises
+        ``TemplateError``: the cut drops the class name, which comes last.
+        """
+        key = (tuple(templates), tuple(class_names))
+        cached = self._anchor_cache.get(key)
+        if cached is not None:
+            return cached
+        tok = self.tokenizer
+        seqs = []
+        for template in templates:
+            for name in class_names:
+                words = tok.words_of(render_template(template, name))
+                if len(words) > tok.max_len - 2:
+                    raise TemplateError(
+                        f"template {template!r} with class {name!r} has "
+                        f"{len(words)} words; at most {tok.max_len - 2} fit "
+                        f"in {tok.max_len} tokens")
+                seqs.append(self.embed_ids(tok.ids_of(words)))
+        batches, restore = _by_length(seqs)
+        with no_grad():
+            flat = np.concatenate([self.encode_batch(Tensor(b)).data
+                                   for b in batches])
+        out = flat[restore].reshape(len(templates), len(class_names), self.cfg.d)
+        self._anchor_cache[key] = out
+        return out
+
+    def name_frames(self, class_names: list[str]
+                    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Constant [start, name tokens, end] embedding rows per class,
+        batched by length (see ``_by_length``); cached per class list."""
+        key = tuple(class_names)
+        cached = self._frame_cache.get(key)
+        if cached is None:
+            start, end = self.embed_ids([START_ID]), self.embed_ids([END_ID])
+            cached = _by_length(
+                [np.concatenate([start, self.embed_class_name(name), end])
+                 for name in class_names])
+            self._frame_cache[key] = cached
+        return cached
 
     def encode_batch(self, x: Tensor) -> Tensor:
         """(..., d) features of (..., S, d_tok) embeddings, any leading shape

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, no_grad
+from .encoders import TAU
 from .errors import InputError, ProtocolError
 from .losses import (grouped_cosine_scores, template_averaged_probs,
                      unit_rows)
@@ -35,7 +36,7 @@ def _score_matrix(model: PromptedClip, dataset: FewShotDataset,
             rows = model.class_rows(class_names, with_bias=True)
             return grouped_cosine_scores(rows, feats).data
         return template_averaged_probs(model.anchors(class_names), feats,
-                                       model.tau).data
+                                       TAU).data
 
 
 def evaluate_split(model: PromptedClip, dataset: FewShotDataset,

@@ -126,14 +126,13 @@ def split_templates(bank: TemplateBank, groups: int, seed: int) -> TemplateBank:
     return TemplateBank(list(bank.templates), group_of, bank.source)
 
 
-def generate_random_templates(n: int, min_len: int, max_len: int, seed: int,
-                              lexicon: list[str] | None = None) -> TemplateBank:
+def generate_random_templates(n: int, min_len: int, max_len: int,
+                              seed: int) -> TemplateBank:
     """Random filler-word templates with the class placeholder at the end."""
     if not (1 <= min_len <= max_len):
         raise ConfigError(f"bad length range [{min_len}, {max_len}]")
-    if lexicon is None:
-        text = resources.files("lasp.assets").joinpath("filler_words.txt").read_text("utf-8")
-        lexicon = [w for w in text.split() if w]
+    text = resources.files("lasp.assets").joinpath("filler_words.txt").read_text("utf-8")
+    lexicon = [w for w in text.split() if w]
     rng = np.random.default_rng(seed)
     templates = []
     for _ in range(n):

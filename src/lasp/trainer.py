@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .encoders import trainable_parameters
+from .encoders import TAU, trainable_parameters
 from .errors import ConfigError, DataError, DivergenceError
 from .losses import (LOSS_KINDS, apply_bias_correction, combined_loss,
                      grouped_tt_loss, vl_loss)
@@ -167,11 +167,11 @@ class Trainer:
                                   "features carry no LayerNorm gradient")
             else:
                 feats = Tensor(images)
-            l_vl = vl_loss(rows_base, feats, labels, model.tau)
+            l_vl = vl_loss(rows_base, feats, labels, TAU)
         l_tt = None
         if cfg.alpha_tt != 0.0:
             l_tt = grouped_tt_loss(self.anchors, rows_all_raw, model.bank,
-                                   model.tau, kind=cfg.loss_kind)
+                                   TAU, kind=cfg.loss_kind)
         zero = Tensor(0.0)
         total = combined_loss(l_vl if l_vl is not None else zero,
                               l_tt if l_tt is not None else zero,

@@ -4,14 +4,31 @@ import numpy as np
 import pytest
 
 from lasp.cli import RunContext, resolve_config
-from lasp.encoders import EncoderConfig
+from lasp.encoders import EncoderConfig, TextEncoder, VisionEncoder
 from lasp.model import PromptedClip
+from lasp.tokenizer import Tokenizer
 
 
 @pytest.fixture
 def small_enc():
     """Narrow encoder config for fast unit tests."""
     return EncoderConfig(d_tok=8, d=8, n_layers=1, n_heads=2, max_len=16)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Constructions from now on of the tokenizer, each frozen tower and
+    the model, by class name."""
+    counts = {}
+    for cls in (Tokenizer, TextEncoder, VisionEncoder, PromptedClip):
+        counts[cls.__name__] = 0
+
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__,
+                     **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
 
 
 class AcceptanceBench:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lasp.autodiff import Tensor, grad_check
+from lasp.encoders import TAU
 from lasp.evaluator import centroid_distance_matrix, harmonic_mean
 from lasp.losses import (combined_loss, grouped_tt_loss,
                          template_averaged_probs, tt_loss, vl_loss)
@@ -116,7 +117,7 @@ def test_criterion_03_image_independence(small_enc):
         _, l_tt, _ = trainer._losses(images, labels)
         grouped_vals.add(l_tt.item())
         rows = model.class_rows(["oak", "rocket"], with_bias=False)
-        tt_vals.add(tt_loss(trainer.anchors[:1], rows[0], model.tau).item())
+        tt_vals.add(tt_loss(trainer.anchors[:1], rows[0], TAU).item())
     ok = len(tt_vals) == 1 and len(grouped_vals) == 1
     report(3, "text-to-text losses are bitwise image-independent", ok,
            f"{len(grouped_vals)} distinct grouped values over 10 trials")

@@ -382,6 +382,15 @@ def test_fixture_writes_dataset(tmp_path, capsys):
     assert not (out / "matrices").exists()
 
 
+def test_run_context_builds_no_model_before_build_model(builds):
+    ctx = RunContext(resolve_config(None, ["center_steps=20"], None))
+    # the prompt words' text tower, then the fixture's text and vision towers
+    assert builds == {"Tokenizer": 2, "TextEncoder": 2, "VisionEncoder": 1,
+                      "PromptedClip": 0}
+    ctx.build_model()
+    assert builds["PromptedClip"] == 1
+
+
 def test_fixture_loads_the_template_bank_once(tmp_path, monkeypatch):
     import lasp.cli
     import lasp.data

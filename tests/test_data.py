@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import lasp.encoders
 from lasp.data import (DatasetManifest, SyntheticDatasetSpec, _class_word_pool,
                        load_dataset, load_manifest, make_synthetic_dataset,
                        read_image, write_dataset, write_image_npt)
-from lasp.encoders import EncoderConfig
+from lasp.encoders import EncoderConfig, VisionEncoder
 from lasp.errors import ConfigError, DataError
 
 SMALL_ENC = EncoderConfig(d_tok=8, d=8, n_layers=1, n_heads=2, max_len=16)
@@ -177,6 +178,32 @@ def test_context_shift_changes_new_centers():
     a = make_synthetic_dataset(base_spec, SMALL_ENC, template_source="1")
     b = make_synthetic_dataset(shifted, SMALL_ENC, template_source="1")
     assert not np.array_equal(a.centers[2:], b.centers[2:])
+
+
+def test_fixture_builds_one_tower_of_each_kind_and_no_model(builds):
+    # the shifted context's anchors come from the same text tower
+    spec = SyntheticDatasetSpec(seed=1, context_shift=0.5, **FAST)
+    make_synthetic_dataset(spec, SMALL_ENC, template_source="6")
+    assert builds == {"Tokenizer": 1, "TextEncoder": 1, "VisionEncoder": 1,
+                      "PromptedClip": 0}
+
+
+def test_heap_thresholds_are_set_before_the_first_vision_pass(monkeypatch):
+    calls = []
+    keep, encode = lasp.encoders._keep_freed_heap, VisionEncoder.encode_batch
+
+    def keeping():
+        calls.append("heap")
+        keep()
+
+    def encoding(self, images):
+        calls.append("vision")
+        return encode(self, images)
+    monkeypatch.setattr(lasp.encoders, "_keep_freed_heap", keeping)
+    monkeypatch.setattr(VisionEncoder, "encode_batch", encoding)
+    make_synthetic_dataset(SyntheticDatasetSpec(**dict(FAST, center_steps=2)),
+                           SMALL_ENC, template_source="1")
+    assert calls[0] == "heap" and "vision" in calls
 
 
 def test_separation_controls_noise_scale():

@@ -1,11 +1,17 @@
+import ctypes
+import platform
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import lasp.encoders
 from lasp.autodiff import Tensor, concat, layer_norm, transformer_block
 from lasp.encoders import (EncoderConfig, TextEncoder, VisionEncoder,
                            trainable_parameters)
 from lasp.errors import ConfigError, InputError
 from lasp.prompts import init_prompts
+from test_trainer import tiny_data, tiny_setup
 
 
 def test_config_validation():
@@ -55,12 +61,10 @@ def test_text_encoder_rejects_overlong(small_enc):
 
 def test_embed_class_name_splits_words(small_enc):
     te = TextEncoder(small_enc)
-    from lasp.tokenizer import Tokenizer
-    tok = Tokenizer(max_len=small_enc.max_len)
-    two = te.embed_class_name(tok, "palm_tree")
+    two = te.embed_class_name("palm_tree")
     assert two.shape == (2, small_enc.d_tok)
     with pytest.raises(InputError):
-        te.embed_class_name(tok, "   ")
+        te.embed_class_name("   ")
 
 
 def test_vision_encoder_shapes(small_enc):
@@ -155,3 +159,31 @@ def test_vision_features_equal_the_full_stack_bitwise(batch):
     got = features_and_grads(enc.encode_batch, images, ln)
     want = features_and_grads(lambda x: vision_reference(enc, x), images, ln)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_fit_leaves_another_libc_alone(small_enc, monkeypatch):
+    def no_native_call(*a, **k):
+        raise AssertionError("touched the C library off glibc")
+    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("musl", "1.2"))
+    monkeypatch.setattr(ctypes, "CDLL", no_native_call)
+    lasp.encoders._keep_freed_heap()
+    model, trainer, _ = tiny_setup(small_enc, epochs=2)
+    before = model.prompt_set.vectors.data.copy()
+    log = trainer.fit(tiny_data())
+    assert len(log.rows) == 6
+    assert not np.array_equal(before, model.prompt_set.vectors.data)
+
+
+def test_a_refused_heap_setting_warns(monkeypatch):
+    calls = []
+
+    def refuse(param, value):
+        calls.append((param, value))
+        return 0
+    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("glibc", "2.36"))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
+        mallopt=refuse))
+    with pytest.warns(RuntimeWarning, match="refused mallopt") as caught:
+        lasp.encoders._keep_freed_heap()
+    assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
+    assert len(caught) == 2

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from lasp.autodiff import Tensor, grad_check, no_grad
+from lasp.data import SHIFT_TEMPLATE
+from lasp.encoders import TextEncoder
 from lasp.errors import TemplateError
 from lasp.model import IMAGE_CHUNK, PromptedClip
-from lasp.prompts import (TemplateBank, init_prompts, load_template_bank,
-                          render_template, split_templates)
+from lasp.prompts import (init_prompts, load_template_bank, render_template,
+                          split_templates)
 from lasp.tokenizer import END_ID, START_ID
 
 # one- and two-token names, so class_rows encodes two length buckets
@@ -21,14 +23,14 @@ def small_model(small_enc):
     return PromptedClip(small_enc, prompts, bank)
 
 
-def encode_alone(model, embeddings: np.ndarray) -> np.ndarray:
+def encode_alone(te, embeddings: np.ndarray) -> np.ndarray:
     with no_grad():
-        return model.text_encoder.encode_batch(Tensor(embeddings[None])).data[0]
+        return te.encode_batch(Tensor(embeddings[None])).data[0]
 
 
 def test_class_rows_match_each_sequence_encoded_alone(small_model):
     model = small_model
-    te, tok = model.text_encoder, model.tokenizer
+    te = model.text_encoder
     assert model.prompt_set.groups == 2
     rows = model.class_rows(NAMES, with_bias=False).data
     assert rows.shape == (2, len(NAMES), model.cfg.d)
@@ -36,41 +38,41 @@ def test_class_rows_match_each_sequence_encoded_alone(small_model):
         for c, name in enumerate(NAMES):
             seq = np.concatenate([te.embed_ids([START_ID]),
                                   model.prompt_set.vectors.data[g],
-                                  te.embed_class_name(tok, name),
+                                  te.embed_class_name(name),
                                   te.embed_ids([END_ID])])
-            np.testing.assert_allclose(rows[g, c], encode_alone(model, seq),
+            np.testing.assert_allclose(rows[g, c], encode_alone(te, seq),
                                        rtol=0, atol=1e-12)
 
 
 def test_anchors_match_each_template_encoded_alone(small_model):
-    model = small_model
-    te, tok = model.text_encoder, model.tokenizer
-    anchors = model.anchors(NAMES)
-    assert anchors.shape == (len(model.bank), len(NAMES), model.cfg.d)
-    for l, template in enumerate(model.bank.templates):
-        for c, name in enumerate(NAMES):
-            ids = tok.tokenize(render_template(template, name))
-            np.testing.assert_allclose(anchors[l, c],
-                                       encode_alone(model, te.embed_ids(ids)),
-                                       rtol=0, atol=1e-12)
+    te = small_model.text_encoder
+    bank = small_model.bank.templates
+    # the model's anchors are its text tower's, over its bank
+    assert small_model.anchors(NAMES) is te.anchors(bank, NAMES)
+    for templates in (bank, [SHIFT_TEMPLATE]):
+        anchors = te.anchors(templates, NAMES)
+        assert anchors.shape == (len(templates), len(NAMES), te.cfg.d)
+        for l, template in enumerate(templates):
+            for c, name in enumerate(NAMES):
+                ids = te.tokenizer.tokenize(render_template(template, name))
+                np.testing.assert_allclose(anchors[l, c],
+                                           encode_alone(te, te.embed_ids(ids)),
+                                           rtol=0, atol=1e-12)
 
 
 def test_anchors_reject_a_template_that_cuts_the_class_name(small_enc):
     # small_enc holds 16 tokens: start, 14 words, end
-    prompts = init_prompts(1, 2, small_enc.d_tok, small_enc.d, 0)
-    fits = PromptedClip(small_enc, prompts,
-                        TemplateBank([" ".join(["the"] * 13) + " {}"]))
-    assert fits.anchors(["oak"]).shape == (1, 1, small_enc.d)
+    te = TextEncoder(small_enc)
+    fits = [" ".join(["the"] * 13) + " {}"]
+    assert te.anchors(fits, ["oak"]).shape == (1, 1, small_enc.d)
     cut = "a photo of {}"
     long = " ".join(["the"] * 14) + " {}"
-    model = PromptedClip(small_enc, prompts, TemplateBank([cut, long]))
     with pytest.raises(TemplateError, match=r"with class 'rocket' has 15 "
                                             r"words; at most 14 fit"):
-        model.anchors(["rocket"])
+        te.anchors([cut, long], ["rocket"])
     # two-word names count both words
     with pytest.raises(TemplateError, match="'palm tree' has 15 words"):
-        PromptedClip(small_enc, prompts, TemplateBank(
-            [" ".join(["the"] * 13) + " {}"])).anchors(["palm tree"])
+        te.anchors(fits, ["palm tree"])
 
 
 def test_class_rows_grad_check(small_model):

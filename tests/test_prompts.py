@@ -117,33 +117,31 @@ def test_class_vocabulary():
         v.with_virtual(["dog"])
 
 
-def name_frame(te, tok, names):
+def name_frame(te, names):
     """(C, 1 + L + 1, d_tok) [start, name tokens, end] rows of equal-length names."""
     return np.stack([np.concatenate([te.embed_ids([START_ID]),
-                                     te.embed_class_name(tok, name),
+                                     te.embed_class_name(name),
                                      te.embed_ids([END_ID])])
                      for name in names])
 
 
 def test_assemble_learnable_prompt_layout(small_enc):
     te = TextEncoder(small_enc)
-    tok = Tokenizer(max_len=small_enc.max_len)
     ps = init_prompts(2, 3, small_enc.d_tok, small_enc.d, 0)
     names = ["palm tree", "tree frog"]
-    batch = assemble_learnable_prompt(ps.vectors[1], name_frame(te, tok, names))
+    batch = assemble_learnable_prompt(ps.vectors[1], name_frame(te, names))
     # per class: start + 3 prompt slots + 2 name tokens + end
     assert batch.shape == (2, 7, small_enc.d_tok)
     for c, name in enumerate(names):
         assert np.array_equal(batch.data[c, 0], te.embed_ids([START_ID])[0])
         assert np.array_equal(batch.data[c, 1:4], ps.vectors.data[1])
-        assert np.array_equal(batch.data[c, 4:6], te.embed_class_name(tok, name))
+        assert np.array_equal(batch.data[c, 4:6], te.embed_class_name(name))
         assert np.array_equal(batch.data[c, -1], te.embed_ids([END_ID])[0])
 
 
 def test_assembled_prompt_grad_reaches_vectors(small_enc):
     te = TextEncoder(small_enc)
-    tok = Tokenizer(max_len=small_enc.max_len)
     ps = init_prompts(1, 2, small_enc.d_tok, small_enc.d, 0)
-    batch = assemble_learnable_prompt(ps.vectors[0], name_frame(te, tok, ["cat"]))
+    batch = assemble_learnable_prompt(ps.vectors[0], name_frame(te, ["cat"]))
     te.encode_batch(batch).sum().backward()
     assert ps.vectors.grad is not None and np.abs(ps.vectors.grad).max() > 0

@@ -1,17 +1,14 @@
-import ctypes
 import math
 import os
 import platform
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import lasp
-import lasp.model
 from lasp.autodiff import no_grad
 from lasp.data import _class_word_pool
 from lasp.encoders import EncoderConfig
@@ -204,7 +201,7 @@ print(after - before)
 
 def run_fresh(snippet: str) -> float:
     """The number ``snippet`` prints, run in a fresh process: an earlier
-    test's model build has already raised the thresholds in this one."""
+    test's tower build has already raised the thresholds in this one."""
     src = str(Path(lasp.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (
@@ -228,7 +225,7 @@ def test_fit_keeps_freed_step_buffers_in_the_heap():
                     reason="the allocator settings exist on glibc only")
 def test_encoding_keeps_freed_chunk_buffers_in_the_heap():
     # A no-grad block frees its activations when it returns. Without the
-    # settings a model build makes, each 64-image chunk faults them in
+    # settings a tower build makes, each 64-image chunk faults them in
     # again: about 16,000 faults per 1,000 images.
     assert run_fresh(FAULTS_PER_ENCODE) < 100
 
@@ -259,34 +256,6 @@ def test_train_text_step_tape_size():
     feats = np.random.default_rng(0).standard_normal((16, enc.d))
     _, _, total = trainer._losses(feats, np.arange(16) % 10)
     assert tape_nodes(total) == 92
-
-
-def test_fit_leaves_another_libc_alone(small_enc, monkeypatch):
-    def no_native_call(*a, **k):
-        raise AssertionError("touched the C library off glibc")
-    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("musl", "1.2"))
-    monkeypatch.setattr(ctypes, "CDLL", no_native_call)
-    lasp.model._keep_freed_heap()
-    model, trainer, _ = tiny_setup(small_enc, epochs=2)
-    before = model.prompt_set.vectors.data.copy()
-    log = trainer.fit(tiny_data())
-    assert len(log.rows) == 6
-    assert not np.array_equal(before, model.prompt_set.vectors.data)
-
-
-def test_a_refused_heap_setting_warns(monkeypatch):
-    calls = []
-
-    def refuse(param, value):
-        calls.append((param, value))
-        return 0
-    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("glibc", "2.36"))
-    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
-        mallopt=refuse))
-    with pytest.warns(RuntimeWarning, match="refused mallopt") as caught:
-        lasp.model._keep_freed_heap()
-    assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
-    assert len(caught) == 2
 
 
 def test_fit_is_deterministic(small_enc):
