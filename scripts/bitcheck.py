@@ -13,7 +13,10 @@ Each line is ``<sha256>  <output>``. The outputs are:
 - ``checkpoint.bin``, ``train.log`` and ``report.kv`` of a short
   ``lasp train``, and of one with ``ln_finetune=1``;
 - the frozen features of every fixture split and the anchors of its class
-  names, from an untrained model built on the written fixture;
+  names, from an untrained model built on the written fixture after both
+  train runs in the same process: the text tower and its cached anchors
+  are shared per encoder config, so any state a run leaks through it
+  shows up as a diff;
 - text-tower features and input grads of random embeddings at every
   ``(B, S)`` of ``--text-batches`` x ``--text-lengths``;
 - vision-tower features, pixel grads and the 10 LayerNorm-affine grads of

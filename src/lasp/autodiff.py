@@ -371,9 +371,10 @@ def _tracked(t: Tensor) -> bool:
     return t.requires_grad or t._backward is not None
 
 
-def _layer_norm_data(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                     eps: float) -> tuple[np.ndarray, tuple]:
-    """LayerNorm over the last axis: the output, and what its backward needs.
+def _layer_norm_data(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
+                     ) -> tuple[np.ndarray, tuple]:
+    """LayerNorm over the last axis with eps ``LN_EPS``: the output, and
+    what its backward needs.
 
     The expressions are those of the composite ``mean``/``sub``/``mul``/
     ``pow`` chain, in its order, so values and gradients equal that chain's
@@ -383,7 +384,7 @@ def _layer_norm_data(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     mu = x.sum(axis=-1, keepdims=True) * k
     c = x + -mu
     var = (c * c).sum(axis=-1, keepdims=True) * k
-    ve = var + eps
+    ve = var + LN_EPS
     r = ve ** -0.5
     return c * r * gain + bias, (k, c, ve, r)
 
@@ -409,13 +410,12 @@ def _layer_norm_grad(g: np.ndarray, gain: Tensor, bias: Tensor, saved: tuple,
     return gc, np.broadcast_to(-_unbroadcast(gc, r.shape) * k, c.shape)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Per-row standardization over the last axis followed by affine, as
-    one node with the composite chain's bits (see ``_layer_norm_data``)."""
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row standardization over the last axis followed by affine, with
+    eps ``LN_EPS``, as one node with the composite chain's bits (see
+    ``_layer_norm_data``)."""
     x, gain, bias = Tensor._lift(x), Tensor._lift(gain), Tensor._lift(bias)
-    out_data, saved = _layer_norm_data(x.data, gain.data, bias.data, eps)
+    out_data, saved = _layer_norm_data(x.data, gain.data, bias.data)
 
     def bw(g):
         terms = _layer_norm_grad(g, gain, bias, saved, _tracked(x))
@@ -490,12 +490,12 @@ def transformer_block(x: Tensor, w: Mapping[str, Tensor], n_heads: int,
         full[:, rows] = t
         return full
 
-    ln1, ln1_saved = _layer_norm_data(x.data, ln1_g.data, ln1_b.data, LN_EPS)
+    ln1, ln1_saved = _layer_norm_data(x.data, ln1_g.data, ln1_b.data)
     q, k, v = heads(ln1[:, rows] @ wq), heads(ln1 @ wk), heads(ln1 @ wv)
     kt = k.transpose(0, 1, 3, 2)
     p = np.exp(_log_softmax_data((q @ kt) * scale, -1, "softmax"))
     a = x.data[:, rows] + merge(p @ v) @ wo
-    ln2, ln2_saved = _layer_norm_data(a, ln2_g.data, ln2_b.data, LN_EPS)
+    ln2, ln2_saved = _layer_norm_data(a, ln2_g.data, ln2_b.data)
     act = np.tanh(ln2 @ w1 + w["b1"].data)
     out_data = a + (act @ w2 + w["b2"].data)
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .data import (SyntheticDatasetSpec, load_dataset, load_manifest,
                    make_synthetic_dataset, permuted_class_words, write_dataset)
-from .encoders import IMAGE_SHAPE, EncoderConfig, TextEncoder
+from .encoders import IMAGE_SHAPE, EncoderConfig, text_tower
 from .errors import (ConfigError, DataError, DivergenceError, InputError,
                      ProtocolError, TemplateError)
 from .evaluator import (MODES, EvalReport, centroid_distance_matrix,
@@ -214,10 +214,8 @@ class RunContext:
             raise ConfigError(f"m_prompts={self.m} leaves no room for a class "
                               f"name: start, prompts, name and end must fit "
                               f"in {self.enc_cfg.max_len} tokens")
-        # one text tower and its tokenizer read every model's prompt words
-        self.text_encoder = TextEncoder(self.enc_cfg)
         phrase = cfg["prompt_words"]
-        words = self.text_encoder.tokenizer.words_of(phrase)
+        words = text_tower(self.enc_cfg).tokenizer.words_of(phrase)
         if phrase and not words:
             raise ConfigError(f"prompt words {phrase!r} yielded no tokens")
         if words and self.m > len(words):
@@ -329,9 +327,9 @@ class RunContext:
             bank = self._bank(tcfg.groups)
         enc = self.enc_cfg
         if self.words:
+            text = text_tower(enc)
             prompts = init_prompts_from_words(
-                self.text_encoder, self.text_encoder.tokenizer, self.words,
-                bank.groups, enc.d, tcfg.seed)
+                text, text.tokenizer, self.words, bank.groups, enc.d, tcfg.seed)
         else:
             prompts = init_prompts(bank.groups, self.m, enc.d_tok, enc.d,
                                    tcfg.seed)

@@ -19,7 +19,8 @@ from importlib import resources
 import numpy as np
 
 from .autodiff import Tensor, log_softmax, normalize_rows
-from .encoders import IMAGE_SHAPE, EncoderConfig, TextEncoder, VisionEncoder
+from .encoders import (IMAGE_SHAPE, EncoderConfig, TextEncoder, VisionEncoder,
+                       text_tower)
 from .errors import ConfigError, DataError
 from .losses import unit_rows
 from .prompts import TemplateBank, load_template_bank
@@ -105,6 +106,10 @@ def _read_ppm(path, raw: bytes) -> np.ndarray:
 # -- manifests -----------------------------------------------------------------
 
 
+def _str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass
 class DatasetManifest:
     root: str
@@ -113,6 +118,18 @@ class DatasetManifest:
     images: dict[str, dict[str, list[str]]]    # class -> {"train"/"test": paths}
 
     def validate(self):
+        for key in ("base_classes", "new_classes"):
+            names = getattr(self, key)
+            if not _str_list(names):
+                raise DataError(f"manifest {key} must be a list of class names")
+            for name in names:
+                # report.kv holds one "key, class, value" line per class, and
+                # virtual= lists classes between commas
+                if any(c in name for c in ",\r\n"):
+                    raise DataError(f"class name {name!r} holds a comma or a "
+                                    f"line break")
+        if not isinstance(self.images, dict):
+            raise DataError("manifest images must map each class to its parts")
         overlap = set(self.base_classes) & set(self.new_classes)
         if overlap:
             raise DataError(f"overlapping base/new classes: {sorted(overlap)}")
@@ -121,7 +138,12 @@ class DatasetManifest:
         for name in self.base_classes + self.new_classes:
             if name not in self.images:
                 raise DataError(f"class {name!r} has no image lists")
-            for files in self.images[name].values():
+            parts = self.images[name]
+            if not (isinstance(parts, dict)
+                    and all(_str_list(files) for files in parts.values())):
+                raise DataError(f"images of class {name!r} must map each part "
+                                f"to a list of file paths")
+            for files in parts.values():
                 for f in files:
                     p = os.path.join(self.root, f)
                     if not os.path.exists(p):
@@ -136,6 +158,8 @@ def load_manifest(path) -> DatasetManifest:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed manifest {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"manifest {path} is not a JSON object")
     try:
         m = DatasetManifest(root=os.path.dirname(os.path.abspath(path)),
                             base_classes=doc["base_classes"],
@@ -276,13 +300,14 @@ def make_synthetic_dataset(spec: SyntheticDatasetSpec,
                            ) -> SyntheticDataset:
     """The synthetic fixture. Its class centers are aimed at the anchors of
     ``template_source``: a loaded bank, or a ``load_template_bank`` source.
-    It builds a text tower for the anchors and a vision tower for the ascent."""
+    It reads the anchors from the config's shared ``text_tower`` and builds
+    a vision tower for the ascent."""
     enc_cfg = enc_cfg or EncoderConfig()
     names = permuted_class_words(spec.seed)[: spec.n_base + spec.n_new]
     base_names, new_names = names[: spec.n_base], names[spec.n_base :]
     bank = (template_source if isinstance(template_source, TemplateBank)
             else load_template_bank(template_source))
-    targets = _center_targets(TextEncoder(enc_cfg), bank, names, spec)
+    targets = _center_targets(text_tower(enc_cfg), bank, names, spec)
     with_centers = _aligned_centers(VisionEncoder(enc_cfg), targets, spec,
                                     np.random.default_rng(spec.seed))
 

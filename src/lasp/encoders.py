@@ -8,6 +8,7 @@ pixels) and, when enabled, the vision tower's LayerNorm affine params.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import platform
 import warnings
@@ -166,7 +167,8 @@ class TextEncoder:
 
     It owns the tokenizer of its ``max_len`` and the frozen text work: the
     anchors of hand-crafted templates and the constant name frames of
-    learnable prompts, each cached per input.
+    learnable prompts, each cached per input and read-only. lasp reaches
+    the one tower of a config through ``text_tower``.
     """
 
     def __init__(self, cfg: EncoderConfig):
@@ -226,6 +228,7 @@ class TextEncoder:
             flat = np.concatenate([self.encode_batch(Tensor(b)).data
                                    for b in batches])
         out = flat[restore].reshape(len(templates), len(class_names), self.cfg.d)
+        out.flags.writeable = False
         self._anchor_cache[key] = out
         return out
 
@@ -237,9 +240,11 @@ class TextEncoder:
         cached = self._frame_cache.get(key)
         if cached is None:
             start, end = self.embed_ids([START_ID]), self.embed_ids([END_ID])
-            cached = _by_length(
+            batches, restore = cached = _by_length(
                 [np.concatenate([start, self.embed_class_name(name), end])
                  for name in class_names])
+            for a in (*batches, restore):
+                a.flags.writeable = False
             self._frame_cache[key] = cached
         return cached
 
@@ -265,6 +270,14 @@ class TextEncoder:
                                slice(s - 2, s))
         pooled = h[:, 1, :]              # end token is always last
         return pooled.reshape(*lead, d_tok) @ self.proj
+
+
+@functools.cache
+def text_tower(cfg: EncoderConfig) -> TextEncoder:
+    """The one text tower of ``cfg`` in this process, shared with its
+    caches by the fixture, ``RunContext`` and every model. It holds no state
+    a fit changes; its cached arrays are read-only."""
+    return TextEncoder(cfg)
 
 
 class VisionEncoder:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .autodiff import NumericError, Tensor, concat, no_grad, stack
-from .encoders import EncoderConfig, TextEncoder, VisionEncoder
+from .encoders import EncoderConfig, VisionEncoder, text_tower
 from .errors import DataError
 from .losses import apply_bias_correction
 from .prompts import PromptSet, TemplateBank, assemble_learnable_prompt
@@ -22,14 +22,16 @@ class PromptedClip:
     """Synthetic-pretrained dual encoder plus a learnable prompt set.
 
     The frozen text work (tokenizer, anchors, name frames and their caches)
-    lives in its text tower; the model adds the prompt set and the bank of
-    hand-crafted templates its anchors are computed from.
+    lives in the text tower its config shares with every other model
+    (``text_tower``); the model owns its vision tower, whose LayerNorm
+    affines a fit may train, the prompt set and the bank of hand-crafted
+    templates its anchors are computed from.
     """
 
     def __init__(self, enc_cfg: EncoderConfig, prompt_set: PromptSet,
                  bank: TemplateBank):
         self.cfg = enc_cfg
-        self.text_encoder = TextEncoder(enc_cfg)
+        self.text_encoder = text_tower(enc_cfg)
         self.vision_encoder = VisionEncoder(enc_cfg)
         self.prompt_set = prompt_set
         self.bank = bank

@@ -58,9 +58,6 @@ class Tokenizer:
             wid = VOCAB_SIZE - HASH_BAND + band
         return wid
 
-    def tokenize(self, text: str) -> list[int]:
-        return self.ids_of(self.words_of(text))
-
     def ids_of(self, words: list[str]) -> list[int]:
         """[start] + the ids of the first ``max_len - 2`` words + [end]."""
         ids = [self.word_id(w) for w in words[: self.max_len - 2]]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lasp.cli import RunContext, resolve_config
-from lasp.encoders import EncoderConfig, TextEncoder, VisionEncoder
+from lasp.encoders import EncoderConfig, TextEncoder, VisionEncoder, text_tower
 from lasp.model import PromptedClip
 from lasp.tokenizer import Tokenizer
 
@@ -18,7 +18,9 @@ def small_enc():
 @pytest.fixture
 def builds(monkeypatch):
     """Constructions from now on of the tokenizer, each frozen tower and
-    the model, by class name."""
+    the model, by class name. The shared text towers are dropped first, so
+    the first use of a config builds its tower again."""
+    text_tower.cache_clear()
     counts = {}
     for cls in (Tokenizer, TextEncoder, VisionEncoder, PromptedClip):
         counts[cls.__name__] = 0

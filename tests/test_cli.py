@@ -6,7 +6,7 @@ import pytest
 
 from lasp.cli import (DEFAULTS, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE,
                       RunContext, main, parse_config_text, resolve_config)
-from lasp.encoders import EncoderConfig
+from lasp.encoders import EncoderConfig, VisionEncoder
 from lasp.data import (_class_word_pool, load_dataset, load_manifest,
                        write_image_npt)
 from lasp.errors import ConfigError, DataError
@@ -384,11 +384,27 @@ def test_fixture_writes_dataset(tmp_path, capsys):
 
 def test_run_context_builds_no_model_before_build_model(builds):
     ctx = RunContext(resolve_config(None, ["center_steps=20"], None))
-    # the prompt words' text tower, then the fixture's text and vision towers
-    assert builds == {"Tokenizer": 2, "TextEncoder": 2, "VisionEncoder": 1,
+    # the one text tower reads the prompt words and the fixture's anchors
+    assert builds == {"Tokenizer": 1, "TextEncoder": 1, "VisionEncoder": 1,
                       "PromptedClip": 0}
     ctx.build_model()
-    assert builds["PromptedClip"] == 1
+    ctx.build_model()
+    # each model builds its own vision tower and shares the text tower
+    assert builds == {"Tokenizer": 1, "TextEncoder": 1, "VisionEncoder": 3,
+                      "PromptedClip": 2}
+
+
+def test_models_share_the_text_tower_and_train_their_own_vision_tower():
+    ctx = RunContext(resolve_config(None, FAST[1::2], None))
+    plain = ctx.build_model()
+    tuned, _, _ = ctx.train(ln_finetune=True, epochs=3, warmup_epochs=1)
+    assert plain.text_encoder is tuned.text_encoder
+    assert plain.vision_encoder is not tuned.vision_encoder
+    fresh = VisionEncoder(ctx.enc_cfg).trunk.ln_params()
+    assert not all(np.array_equal(t.data, f.data) for t, f in
+                   zip(tuned.vision_encoder.trunk.ln_params(), fresh))
+    assert all(np.array_equal(p.data, f.data) for p, f in
+               zip(plain.vision_encoder.trunk.ln_params(), fresh))
 
 
 def test_fixture_loads_the_template_bank_once(tmp_path, monkeypatch):
@@ -513,6 +529,34 @@ def test_bad_manifest_exits_3(tmp_path, capsys):
                           "images": {"a": {"train": ["neg.npt"],
                                            "test": ["ok.npt"]}, "b": ok}},
                          "neg.npt: raw-tensor shape (-1, 16, 3)"),
+        "names-string": ({"base_classes": "ab", "new_classes": ["c"],
+                          "images": {"a": ok, "b": ok, "c": ok}},
+                         "base_classes must be a list of class names"),
+        "names-not-strings": ({"base_classes": ["a", 1], "new_classes": ["b"],
+                               "images": {"a": ok, "b": ok}},
+                              "base_classes must be a list of class names"),
+        "images-list": ({"base_classes": ["a"], "new_classes": ["b"],
+                         "images": {"a": ["ok.npt"], "b": ok}},
+                        "images of class 'a' must map each part"),
+        "paths-string": ({"base_classes": ["a"], "new_classes": ["b"],
+                          "images": {"a": {"train": "ok.npt"}, "b": ok}},
+                         "images of class 'a' must map each part"),
+        "images-array": ({"base_classes": ["a"], "new_classes": ["b"],
+                          "images": [ok, ok]},
+                         "images must map each class"),
+        "top-level-array": ([["a"], ["b"], {"a": ok, "b": ok}],
+                            "is not a JSON object"),
+        # report.kv could not hold these names, nor virtual= name them
+        "comma-name": ({"base_classes": ["a", "red, green"],
+                        "new_classes": ["b"],
+                        "images": {"a": ok, "red, green": ok, "b": ok}},
+                       "class name 'red, green' holds a comma"),
+        "newline-name": ({"base_classes": ["a"], "new_classes": ["b\nc"],
+                          "images": {"a": ok, "b\nc": ok}},
+                         "class name 'b\\nc' holds a comma or a line break"),
+        "return-name": ({"base_classes": ["a"], "new_classes": ["b\rc"],
+                         "images": {"a": ok, "b\rc": ok}},
+                        "class name 'b\\rc' holds a comma or a line break"),
     }
     cases = [("/missing/manifest.json", "cannot read manifest")]
     for name, (doc, message) in docs.items():

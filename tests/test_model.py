@@ -5,7 +5,7 @@ import pytest
 
 from lasp.autodiff import Tensor, grad_check, no_grad
 from lasp.data import SHIFT_TEMPLATE
-from lasp.encoders import TextEncoder
+from lasp.encoders import TextEncoder, text_tower
 from lasp.errors import TemplateError
 from lasp.model import IMAGE_CHUNK, PromptedClip
 from lasp.prompts import (init_prompts, load_template_bank, render_template,
@@ -46,6 +46,7 @@ def test_class_rows_match_each_sequence_encoded_alone(small_model):
 
 def test_anchors_match_each_template_encoded_alone(small_model):
     te = small_model.text_encoder
+    tok = te.tokenizer
     bank = small_model.bank.templates
     # the model's anchors are its text tower's, over its bank
     assert small_model.anchors(NAMES) is te.anchors(bank, NAMES)
@@ -54,10 +55,20 @@ def test_anchors_match_each_template_encoded_alone(small_model):
         assert anchors.shape == (len(templates), len(NAMES), te.cfg.d)
         for l, template in enumerate(templates):
             for c, name in enumerate(NAMES):
-                ids = te.tokenizer.tokenize(render_template(template, name))
+                ids = tok.ids_of(tok.words_of(render_template(template, name)))
                 np.testing.assert_allclose(anchors[l, c],
                                            encode_alone(te, te.embed_ids(ids)),
                                            rtol=0, atol=1e-12)
+
+
+def test_cached_text_work_is_read_only(small_model):
+    te = small_model.text_encoder
+    assert te is text_tower(small_model.cfg)
+    # every model of the config reads these arrays
+    frames, restore = te.name_frames(NAMES)
+    for cached in (small_model.anchors(NAMES), *frames, restore):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[...] = 0
 
 
 def test_anchors_reject_a_template_that_cuts_the_class_name(small_enc):

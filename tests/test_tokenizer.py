@@ -22,18 +22,19 @@ def test_default_word_list_fits_vocab(tok):
 
 
 def test_tokenize_brackets_with_start_end(tok):
-    ids = tok.tokenize("a photo of a dog")
+    ids = tok.ids_of(tok.words_of("a photo of a dog"))
     assert ids[0] == START_ID and ids[-1] == END_ID
     assert len(ids) == 7
 
 
 def test_tokenize_case_and_punctuation_insensitive(tok):
-    assert tok.tokenize("A PHOTO, of a Dog!") == tok.tokenize("a photo of a dog")
+    ids = lambda text: tok.ids_of(tok.words_of(text))
+    assert ids("A PHOTO, of a Dog!") == ids("a photo of a dog")
 
 
 def test_tokenize_truncates_to_max_len():
     small = Tokenizer(max_len=6)
-    ids = small.tokenize("one two three four five six seven")
+    ids = small.ids_of(small.words_of("one two three four five six seven"))
     assert len(ids) == 6
     assert ids[0] == START_ID and ids[-1] == END_ID
 
@@ -63,5 +64,5 @@ def test_word_list_overflow_rejected():
 def test_every_id_has_an_embedding_row(tok, small_enc):
     te = TextEncoder(small_enc)
     assert te.embedding.shape[0] == VOCAB_SIZE
-    ids = tok.tokenize("zyzzyva quux") + [VOCAB_SIZE - 1]
+    ids = tok.ids_of(tok.words_of("zyzzyva quux")) + [VOCAB_SIZE - 1]
     assert te.embed_ids(ids).shape == (len(ids), small_enc.d_tok)
