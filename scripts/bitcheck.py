@@ -17,6 +17,9 @@ Each line is ``<sha256>  <output>``. The outputs are:
   train runs in the same process: the text tower and its cached anchors
   are shared per encoder config, so any state a run leaks through it
   shows up as a diff;
+- that model's frozen features of a split of ``RANDOM_SPLIT`` random
+  images drawn at ``--seed``: 16 chunks, which an encode without a tape
+  shares out over the cores;
 - text-tower features and input grads of random embeddings at every
   ``(B, S)`` of ``--text-batches`` x ``--text-lengths``;
 - vision-tower features, pixel grads and the 10 LayerNorm-affine grads of
@@ -41,10 +44,12 @@ import numpy as np
 from lasp.autodiff import Tensor
 from lasp.cli import RunContext, main as lasp_main, resolve_config
 from lasp.encoders import IMAGE_SHAPE, EncoderConfig, TextEncoder, VisionEncoder
+from lasp.trainer import FewShotDataset
 
 TEXT_BATCHES = (1, 5, 90)
 TEXT_LENGTHS = tuple(range(2, 33))
 VISION_BATCHES = (1, 2, 3, 17, 64, 65)
+RANDOM_SPLIT = 1000
 
 
 def sha(data) -> str:
@@ -79,6 +84,11 @@ def model_lines(fixture: str, sets: list[str], seed: int):
         yield sha(model.frozen_features(ds)), f"frozen-features/{split}"
     yield (sha(model.anchors(ctx.base_names + ctx.new_names)),
            "anchors/base+new")
+    rng = np.random.default_rng(seed)
+    split = FewShotDataset(rng.random((RANDOM_SPLIT, *IMAGE_SHAPE)),
+                           np.zeros(RANDOM_SPLIT, dtype=np.int64),
+                           f"random-{RANDOM_SPLIT}")
+    yield sha(model.frozen_features(split)), f"frozen-features/{split.split}"
 
 
 def text_lines(batches, lengths):

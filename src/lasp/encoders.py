@@ -62,7 +62,8 @@ def _by_length(seqs: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
 # glibc mallopt parameters (name, number in malloc.h) and the values a tower
 # build sets
 _HEAP_SETTINGS = (("M_TRIM_THRESHOLD", -1, 256 << 20),
-                  ("M_MMAP_THRESHOLD", -3, 32 << 20))
+                  ("M_MMAP_THRESHOLD", -3, 4 << 20),
+                  ("M_ARENA_MAX", -8, 1))
 
 
 def _keep_freed_heap() -> None:
@@ -75,8 +76,12 @@ def _keep_freed_heap() -> None:
     that. Setting any threshold also turns off glibc's dynamic mmap
     threshold, after which the vision tower's ~560 KB activations would be
     mmapped and unmapped every pass, so the mmap threshold is raised to
-    32 MB as well. Neither is ever undone. Calling this again sets the same
-    values; off glibc it does nothing.
+    4 MB as well: above every step and chunk buffer, below a split's
+    6 MB image array, which goes back to the OS when it is freed. One arena
+    serves every thread, so the threads of a shared encode
+    (``model._shared_map``) keep no heaps of freed activations of their own.
+    None is ever undone. Calling this again sets the same values; off glibc
+    it does nothing.
     """
     if platform.libc_ver()[0] != "glibc":
         return

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import NumericError, Tensor, concat, no_grad, stack
 from .encoders import EncoderConfig, VisionEncoder, text_tower
 from .errors import DataError
@@ -16,6 +20,59 @@ from .prompts import PromptSet, TemplateBank, assemble_learnable_prompt
 # large enough that the allocator hands them back to the OS and faults them
 # in again on every encode; passes of at most this many reuse their memory.
 IMAGE_CHUNK = 64
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shared_map(fn, items: list, helpers: int) -> list:
+    """``[fn(item) for item in items]``, worked off by the calling thread and
+    ``helpers`` threads that live for this call only.
+
+    Each thread takes the next unclaimed index and writes its result to that
+    slot, so a thread that runs slower takes fewer items. Helpers run in
+    copies of the caller's ``contextvars`` context, which carries NumPy's
+    ``errstate``. After the first exception no item is handed out; it is
+    raised here once every helper has stopped.
+    """
+    helpers = min(helpers, len(items) - 1)
+    if helpers < 1:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+    unclaimed = iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(unclaimed, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as e:      # raised by the caller below
+                with lock:
+                    errors.append(e)
+                return
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work,))
+               for _ in range(helpers)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 class PromptedClip:
@@ -65,15 +122,23 @@ class PromptedClip:
 
     def encode_images(self, images: np.ndarray) -> Tensor:
         """(B, d) features of a (B, h, w, c) image batch, encoded in
-        near-equal chunks of at most ``IMAGE_CHUNK`` images."""
+        near-equal chunks of at most ``IMAGE_CHUNK`` images.
+
+        Without a tape the chunks are shared out over every core
+        (``_shared_map``); a chunk's features depend on its images only, so
+        the bits are those of the serial loop. A taped encode stays on the
+        calling thread: the tape is not thread-safe.
+        """
         x = np.asarray(images, dtype=np.float64)
         if x.ndim == 0 or len(x) <= IMAGE_CHUNK:
             return self.vision_encoder.encode_batch(Tensor(x))
         # near-equal chunks never hold a single image, whose features BLAS
         # computes by another kernel than a batch's
         chunks = np.array_split(x, math.ceil(len(x) / IMAGE_CHUNK))
-        return concat([self.vision_encoder.encode_batch(Tensor(c))
-                       for c in chunks], axis=0)
+        helpers = 0 if autodiff._grad_enabled else _cores() - 1
+        return concat(_shared_map(
+            lambda c: self.vision_encoder.encode_batch(Tensor(c)),
+            chunks, helpers), axis=0)
 
     def frozen_features(self, dataset) -> np.ndarray:
         """(N, d) features of a split's images, encoded without a tape.

@@ -1,16 +1,22 @@
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+import lasp.model
+from lasp import autodiff
 from lasp.autodiff import Tensor, grad_check, no_grad
 from lasp.data import SHIFT_TEMPLATE
-from lasp.encoders import TextEncoder, text_tower
-from lasp.errors import TemplateError
+from lasp.encoders import IMAGE_SHAPE, TextEncoder, text_tower
+from lasp.errors import DataError, TemplateError
 from lasp.model import IMAGE_CHUNK, PromptedClip
 from lasp.prompts import (init_prompts, load_template_bank, render_template,
                           split_templates)
 from lasp.tokenizer import END_ID, START_ID
+from lasp.trainer import FewShotDataset
 
 # one- and two-token names, so class_rows encodes two length buckets
 NAMES = ["oak", "palm tree", "rocket"]
@@ -173,3 +179,96 @@ def test_encode_images_grad_check_across_chunks(small_model, monkeypatch):
     report = grad_check(f, ve.trunk.ln_params())
     assert sizes[0] == 33 and sizes[1] == 33    # two chunks per call
     assert report["passed"], report["max_rel_error"]
+
+
+@pytest.mark.parametrize("helpers", [0, 1, 3])
+@pytest.mark.parametrize("n", [65, 130, 1000])
+def test_shared_encode_equals_one_pass(small_model, monkeypatch, n, helpers):
+    model = small_model
+    images = np.random.default_rng(n).random((n, *IMAGE_SHAPE))
+    monkeypatch.setattr(lasp.model, "_cores", lambda: helpers + 1)
+    threads = threading.active_count()
+    with no_grad():
+        whole = model.vision_encoder.encode_batch(Tensor(images)).data
+        sizes = count_vision_passes(model, monkeypatch)
+        got = model.encode_images(images).data
+    assert got.tobytes() == whole.tobytes()
+    assert len(sizes) == math.ceil(n / IMAGE_CHUNK) and sum(sizes) == n
+    assert min(sizes) > 1 and max(sizes) <= IMAGE_CHUNK
+    assert threading.active_count() == threads    # helpers end with the call
+
+
+def test_taped_encode_starts_no_thread(small_model, monkeypatch):
+    model = small_model
+    model.vision_encoder.set_ln_trainable(True)
+    monkeypatch.setattr(lasp.model, "_cores", lambda: 4)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self))
+    images = np.random.default_rng(0).random((3 * IMAGE_CHUNK, *IMAGE_SHAPE))
+    feats = model.encode_images(images)
+    feats.sum().backward()
+    assert feats.shape == (len(images), model.cfg.d) and started == []
+
+
+def test_a_failing_helper_chunk_raises_data_error(small_model, monkeypatch):
+    # three chunks of 50, the last all pixels on which the tower overflows;
+    # warnings as errors show the caller's errstate reached the helper
+    images = np.random.default_rng(0).random((150, *IMAGE_SHAPE))
+    images[100:] = 1e307
+    split = FewShotDataset(images, np.zeros(150, dtype=np.int64), "base-test")
+    monkeypatch.setattr(lasp.model, "_cores", lambda: 3)
+    threads = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError,
+                           match="base-test image features are not finite"):
+            small_model.frozen_features(split)
+    assert autodiff._grad_enabled is True
+    assert threading.active_count() == threads
+
+
+def test_every_shared_map_thread_runs_in_the_callers_errstate():
+    # the barrier holds each thread to one item, so all four take part
+    barrier = threading.Barrier(4, timeout=30)
+
+    def item(_):
+        barrier.wait()
+        return threading.get_ident(), np.geterr()["over"]
+
+    with np.errstate(over="ignore"):
+        got = lasp.model._shared_map(item, list(range(4)), 3)
+    assert len({ident for ident, _ in got}) == 4
+    assert {over for _, over in got} == {"ignore"}
+
+
+def test_shared_map_hands_out_nothing_after_the_first_error():
+    calls = []
+
+    def item(i):
+        calls.append(i)
+        if i == 5:
+            raise ValueError("item 5")
+        return i
+
+    with pytest.raises(ValueError, match="item 5"):
+        lasp.model._shared_map(item, list(range(100)), 3)
+    # items 0-5, and at most one more per helper already claimed
+    assert 6 <= len(calls) <= 9 and max(calls) <= 8
+
+
+def test_shared_map_claims_every_item_once_under_fast_switching():
+    seen = []
+
+    def item(i):
+        seen.append(i)
+        return -i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = lasp.model._shared_map(item, list(range(20_000)), 7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == list(range(20_000))
+    assert got == [-i for i in range(20_000)]

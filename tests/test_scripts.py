@@ -94,6 +94,7 @@ def test_bitcheck_smoke(capsys):
     assert "fixture/manifest.json" in fixture and len(fixture) == 16
     for name in ("train/checkpoint.bin", "train/train.log",
                  "train-ln/checkpoint.bin", "frozen-features/new-test",
+                 "frozen-features/random-1000",
                  "anchors/base+new", "text/B2-S2/features",
                  "text/B2-S5/input-grad", "vision/B2/pixel-grad",
                  "vision/B1/vision.ln_f_b-grad"):
