@@ -62,8 +62,7 @@ def _by_length(seqs: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
 # glibc mallopt parameters (name, number in malloc.h) and the values a tower
 # build sets
 _HEAP_SETTINGS = (("M_TRIM_THRESHOLD", -1, 256 << 20),
-                  ("M_MMAP_THRESHOLD", -3, 4 << 20),
-                  ("M_ARENA_MAX", -8, 1))
+                  ("M_MMAP_THRESHOLD", -3, 4 << 20))
 
 
 def _keep_freed_heap() -> None:
@@ -77,11 +76,9 @@ def _keep_freed_heap() -> None:
     threshold, after which the vision tower's ~560 KB activations would be
     mmapped and unmapped every pass, so the mmap threshold is raised to
     4 MB as well: above every step and chunk buffer, below a split's
-    6 MB image array, which goes back to the OS when it is freed. One arena
-    serves every thread, so the threads of a shared encode
-    (``model._shared_map``) keep no heaps of freed activations of their own.
-    None is ever undone. Calling this again sets the same values; off glibc
-    it does nothing.
+    6 MB image array, which goes back to the OS when it is freed. Neither
+    is ever undone. Calling this again sets the same values; off glibc it
+    does nothing.
     """
     if platform.libc_ver()[0] != "glibc":
         return

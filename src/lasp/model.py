@@ -6,6 +6,7 @@ import contextvars
 import math
 import os
 import threading
+import time
 
 import numpy as np
 
@@ -27,6 +28,21 @@ def _cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _join(thread: threading.Thread) -> None:
+    """``thread.join()``, then on Linux wait until its OS thread is gone.
+
+    ``join`` returns when the thread's Python state is released, before the
+    OS thread runs glibc's exit handlers, one of which hands the thread's
+    malloc arena back. A helper of the next call that starts before then
+    finds no free arena, takes the main heap or a new arena, and faults a
+    fresh set of activations in: about 1,100 pages on a 1,000-image encode.
+    """
+    thread.join()
+    task = f"/proc/self/task/{thread.native_id}"
+    while os.path.exists(task):
+        time.sleep(0)
 
 
 def _shared_map(fn, items: list, helpers: int) -> list:
@@ -69,7 +85,7 @@ def _shared_map(fn, items: list, helpers: int) -> list:
         work()
     finally:
         for t in threads:
-            t.join()
+            _join(t)
     if errors:
         raise errors[0]
     return results

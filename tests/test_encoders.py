@@ -185,5 +185,5 @@ def test_a_refused_heap_setting_warns(monkeypatch):
         mallopt=refuse))
     with pytest.warns(RuntimeWarning, match="refused mallopt") as caught:
         lasp.encoders._keep_freed_heap()
-    assert calls == [(-1, 256 << 20), (-3, 4 << 20), (-8, 1)]
-    assert len(caught) == 3
+    assert calls == [(-1, 256 << 20), (-3, 4 << 20)]
+    assert len(caught) == 2

@@ -1,6 +1,8 @@
 import math
+import os
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -242,19 +244,44 @@ def test_every_shared_map_thread_runs_in_the_callers_errstate():
     assert {over for _, over in got} == {"ignore"}
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="OS threads are listed under /proc on Linux only")
+def test_shared_map_returns_once_its_helper_os_threads_are_gone():
+    # glibc frees a thread's malloc arena for the next helper as the OS
+    # thread ends, which is after Thread.join has returned
+    barrier = threading.Barrier(4, timeout=30)
+
+    def item(_):
+        barrier.wait()
+        return threading.get_native_id()
+
+    helpers = set(lasp.model._shared_map(item, list(range(4)), 3))
+    helpers.discard(threading.get_native_id())
+    assert len(helpers) == 3
+    assert not helpers & {int(t) for t in os.listdir("/proc/self/task")}
+
+
 def test_shared_map_hands_out_nothing_after_the_first_error():
+    # items 0-2 hold their threads until the error of item 3 is recorded in
+    # _shared_map's ``errors``, so each of the four threads claims one of
+    # items 0-3, and none may claim another once it returns
     calls = []
 
     def item(i):
         calls.append(i)
-        if i == 5:
-            raise ValueError("item 5")
+        if i == 3:
+            raise ValueError("item 3")
+        errors = sys._getframe(1).f_locals["errors"]
+        deadline = time.monotonic() + 30
+        while not errors and time.monotonic() < deadline:
+            time.sleep(1e-3)
         return i
 
-    with pytest.raises(ValueError, match="item 5"):
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="item 3"):
         lasp.model._shared_map(item, list(range(100)), 3)
-    # items 0-5, and at most one more per helper already claimed
-    assert 6 <= len(calls) <= 9 and max(calls) <= 8
+    assert sorted(calls) == [0, 1, 2, 3]
+    assert threading.active_count() == threads
 
 
 def test_shared_map_claims_every_item_once_under_fast_switching():
