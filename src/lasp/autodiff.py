@@ -490,11 +490,19 @@ def transformer_block(x: Tensor, w: Mapping[str, Tensor], n_heads: int,
         full[:, rows] = t
         return full
 
+    # without a tape no backward reads the attention half, so its arrays
+    # are dropped as soon as they are dead: a 63-image vision chunk then
+    # peaks at 2.4 MB instead of 4.0 MB
+    taped = _grad_enabled
     ln1, ln1_saved = _layer_norm_data(x.data, ln1_g.data, ln1_b.data)
     q, k, v = heads(ln1[:, rows] @ wq), heads(ln1 @ wk), heads(ln1 @ wv)
+    if not taped:
+        del ln1, ln1_saved
     kt = k.transpose(0, 1, 3, 2)
     p = np.exp(_log_softmax_data((q @ kt) * scale, -1, "softmax"))
     a = x.data[:, rows] + merge(p @ v) @ wo
+    if not taped:
+        del q, k, kt, p, v
     ln2, ln2_saved = _layer_norm_data(a, ln2_g.data, ln2_b.data)
     act = np.tanh(ln2 @ w1 + w["b1"].data)
     out_data = a + (act @ w2 + w["b2"].data)
@@ -526,7 +534,8 @@ def transformer_block(x: Tensor, w: Mapping[str, Tensor], n_heads: int,
             x._accum(terms[0])
             x._accum(terms[1])
 
-    return Tensor._make(out_data, (x, ln1_g, ln1_b, ln2_g, ln2_b), bw)
+    return Tensor._make(out_data, (x, ln1_g, ln1_b, ln2_g, ln2_b),
+                        bw if taped else None)
 
 
 # -- gradient checking --------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +169,23 @@ def test_fused_block_equals_composite_chain_bitwise(shape, x_tracked,
     assert all((g is None) == (not ln_tracked) for g in fused[2:])
     for got, want in zip(fused, chain):
         assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_tape_free_block_drops_its_attention_arrays():
+    # without a tape nothing reads them again: the same bits, a lower peak
+    data = np.random.default_rng(2).standard_normal((63, 17, 32))
+    w = block_weights(32, 2, 0, False)
+    outs, peaks = [], []
+    for taped in (True, False):
+        x = Tensor(data.copy(), requires_grad=True)
+        tracemalloc.start()
+        with contextlib.nullcontext() if taped else no_grad():
+            outs.append(transformer_block(x, w, 2))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert outs[1].data.tobytes() == outs[0].data.tobytes()
+    assert outs[0]._backward is not None and outs[1]._backward is None
+    assert peaks[1] < 0.75 * peaks[0]
 
 
 def blas() -> str:
