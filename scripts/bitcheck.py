@@ -18,8 +18,11 @@ Each line is ``<sha256>  <output>``. The outputs are:
   are shared per encoder config, so any state a run leaks through it
   shows up as a diff;
 - that model's frozen features of a split of ``RANDOM_SPLIT`` random
-  images drawn at ``--seed``: 16 chunks, which an encode without a tape
-  shares out over the cores;
+  images drawn at ``--seed``, encoded in 16 chunks;
+- the frozen features of every fixture split again, once the
+  ``ln_finetune=1`` run's checkpoint is loaded into that model: features
+  are kept per images and vision-tower state, so features kept from before
+  the load would show up as a diff;
 - text-tower features and input grads of random embeddings at every
   ``(B, S)`` of ``--text-batches`` x ``--text-lengths``;
 - vision-tower features, pixel grads and the 10 LayerNorm-affine grads of
@@ -44,7 +47,7 @@ import numpy as np
 from lasp.autodiff import Tensor
 from lasp.cli import RunContext, main as lasp_main, resolve_config
 from lasp.encoders import IMAGE_SHAPE, EncoderConfig, TextEncoder, VisionEncoder
-from lasp.trainer import FewShotDataset
+from lasp.trainer import FewShotDataset, load_checkpoint
 
 TEXT_BATCHES = (1, 5, 90)
 TEXT_LENGTHS = tuple(range(2, 33))
@@ -75,7 +78,8 @@ def file_lines(root: str, label: str, names=None):
             yield sha(fh.read()), f"{label}/{name}"
 
 
-def model_lines(fixture: str, sets: list[str], seed: int):
+def model_lines(fixture: str, ln_checkpoint: str, sets: list[str],
+                seed: int):
     ctx = RunContext(resolve_config(
         None, sets + [f"manifest={os.path.join(fixture, 'manifest.json')}"],
         seed))
@@ -89,6 +93,10 @@ def model_lines(fixture: str, sets: list[str], seed: int):
                            np.zeros(RANDOM_SPLIT, dtype=np.int64),
                            f"random-{RANDOM_SPLIT}")
     yield sha(model.frozen_features(split)), f"frozen-features/{split.split}"
+    load_checkpoint(ln_checkpoint, model)
+    for split, ds in sorted(ctx.splits.items()):
+        yield (sha(model.frozen_features(ds)),
+               f"train-ln-loaded/frozen-features/{split}")
 
 
 def text_lines(batches, lengths):
@@ -151,7 +159,9 @@ def main(argv=None) -> int:
                      + extra + common)
             lines += file_lines(out, label,
                                 ["checkpoint.bin", "train.log", "report.kv"])
-        lines += model_lines(fixture, args.set, args.seed)
+        lines += model_lines(fixture,
+                             os.path.join(tmp, "train-ln", "checkpoint.bin"),
+                             args.set, args.seed)
     lines += text_lines(args.text_batches, args.text_lengths)
     lines += vision_lines(args.vision_batches)
     for digest, name in lines:

@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import contextvars
+import hashlib
 import math
-import os
-import threading
-import time
 
 import numpy as np
 
-from . import autodiff
 from .autodiff import NumericError, Tensor, concat, no_grad, stack
 from .encoders import EncoderConfig, VisionEncoder, text_tower
 from .errors import DataError
@@ -22,73 +18,24 @@ from .prompts import PromptSet, TemplateBank, assemble_learnable_prompt
 # in again on every encode; passes of at most this many reuse their memory.
 IMAGE_CHUNK = 64
 
-
-def _cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+# Read-only frozen features of every split this process has encoded, by
+# ``_features_key``.
+_frozen_features: dict[bytes, np.ndarray] = {}
 
 
-def _join(thread: threading.Thread) -> None:
-    """``thread.join()``, then on Linux wait until its OS thread is gone.
-
-    ``join`` returns when the thread's Python state is released, before the
-    OS thread runs glibc's exit handlers, one of which hands the thread's
-    malloc arena back. A helper of the next call that starts before then
-    finds no free arena, takes the main heap or a new arena, and faults a
-    fresh set of activations in: about 1,100 pages on a 1,000-image encode.
-    """
-    thread.join()
-    task = f"/proc/self/task/{thread.native_id}"
-    while os.path.exists(task):
-        time.sleep(0)
-
-
-def _shared_map(fn, items: list, helpers: int) -> list:
-    """``[fn(item) for item in items]``, worked off by the calling thread and
-    ``helpers`` threads that live for this call only.
-
-    Each thread takes the next unclaimed index and writes its result to that
-    slot, so a thread that runs slower takes fewer items. Helpers run in
-    copies of the caller's ``contextvars`` context, which carries NumPy's
-    ``errstate``. After the first exception no item is handed out; it is
-    raised here once every helper has stopped.
-    """
-    helpers = min(helpers, len(items) - 1)
-    if helpers < 1:
-        return [fn(item) for item in items]
-    results = [None] * len(items)
-    errors: list[BaseException] = []
-    lock = threading.Lock()
-    unclaimed = iter(range(len(items)))
-
-    def work():
-        while True:
-            with lock:
-                i = None if errors else next(unclaimed, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as e:      # raised by the caller below
-                with lock:
-                    errors.append(e)
-                return
-
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(work,))
-               for _ in range(helpers)]
-    for t in threads:
-        t.start()
-    try:
-        work()
-    finally:
-        for t in threads:
-            _join(t)
-    if errors:
-        raise errors[0]
-    return results
+def _features_key(vision_encoder: VisionEncoder, images: np.ndarray) -> bytes:
+    """sha256 of all that a split's frozen features depend on: the tower's
+    config, the name, shape and bytes of each of its parameters, and the
+    shape and bytes of the (C-contiguous float64) images. Bytes, not object
+    identity: callers change image arrays in place, and ``load_checkpoint``
+    and ``ln_finetune`` steps rewrite the LayerNorm affines in place."""
+    h = hashlib.sha256(repr(vision_encoder.cfg).encode())
+    for name, p in sorted(vision_encoder.named_params().items()):
+        h.update(f"{name}{p.shape}".encode())
+        h.update(np.ascontiguousarray(p.data))
+    h.update(repr(images.shape).encode())
+    h.update(images)
+    return h.digest()
 
 
 class PromptedClip:
@@ -138,33 +85,34 @@ class PromptedClip:
 
     def encode_images(self, images: np.ndarray) -> Tensor:
         """(B, d) features of a (B, h, w, c) image batch, encoded in
-        near-equal chunks of at most ``IMAGE_CHUNK`` images.
-
-        Without a tape the chunks are shared out over every core
-        (``_shared_map``); a chunk's features depend on its images only, so
-        the bits are those of the serial loop. A taped encode stays on the
-        calling thread: the tape is not thread-safe.
-        """
+        near-equal chunks of at most ``IMAGE_CHUNK`` images."""
         x = np.asarray(images, dtype=np.float64)
         if x.ndim == 0 or len(x) <= IMAGE_CHUNK:
             return self.vision_encoder.encode_batch(Tensor(x))
         # near-equal chunks never hold a single image, whose features BLAS
         # computes by another kernel than a batch's
         chunks = np.array_split(x, math.ceil(len(x) / IMAGE_CHUNK))
-        helpers = 0 if autodiff._grad_enabled else _cores() - 1
-        return concat(_shared_map(
-            lambda c: self.vision_encoder.encode_batch(Tensor(c)),
-            chunks, helpers), axis=0)
+        return concat([self.vision_encoder.encode_batch(Tensor(c))
+                       for c in chunks], axis=0)
 
     def frozen_features(self, dataset) -> np.ndarray:
-        """(N, d) features of a split's images, encoded without a tape.
-        Pixels large enough to overflow the tower are a fault of the data:
-        non-finite features raise ``DataError`` naming ``dataset.split``."""
+        """(N, d) read-only features of a split's images, encoded without a
+        tape once per images and vision-tower state in this process (see
+        ``_features_key``). Pixels large enough to overflow the tower are a
+        fault of the data: non-finite features raise ``DataError`` naming
+        ``dataset.split``, and are not kept."""
+        x = np.ascontiguousarray(dataset.images, dtype=np.float64)
+        key = _features_key(self.vision_encoder, x)
+        feats = _frozen_features.get(key)
+        if feats is not None:
+            return feats
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             try:
-                feats = self.encode_images(dataset.images).data
+                feats = self.encode_images(x).data
             except NumericError:    # an attention softmax met inf first
                 feats = None
         if feats is None or not np.isfinite(feats).all():
             raise DataError(f"{dataset.split} image features are not finite")
+        feats.flags.writeable = False
+        _frozen_features[key] = feats
         return feats

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lasp.encoders import EncoderConfig, VisionEncoder
 from lasp.errors import InputError, ProtocolError
 from lasp.evaluator import (MODES, EvalReport, centroid_distance_matrix,
                             evaluate_generalized, evaluate_split,
@@ -38,7 +39,6 @@ def test_harmonic_mean_rejects_out_of_range():
 
 @pytest.fixture(scope="module")
 def eval_model():
-    from lasp.encoders import EncoderConfig
     enc = EncoderConfig(d_tok=8, d=8, n_layers=1, n_heads=2, max_len=16)
     prompts = init_prompts(2, 2, enc.d_tok, enc.d, 0)
     bank = split_templates(load_template_bank("6"), 2, 0)
@@ -113,6 +113,34 @@ def test_evaluate_generalized_rejects_collisions(eval_model):
     with pytest.raises(ProtocolError):
         evaluate_generalized(eval_model, split_for(base), split_for(new),
                              base, new, ["violet"])
+
+
+def test_a_pass_encodes_each_split_once_and_a_fresh_model_none(
+        monkeypatch, feature_cache):
+    enc = EncoderConfig(d_tok=8, d=8, n_layers=1, n_heads=2, max_len=16)
+    base, new = ["oak", "rocket"], ["violet", "fern"]
+    sizes = []
+    encode = VisionEncoder.encode_batch
+
+    def counting(self, images):
+        sizes.append(len(images.data))
+        return encode(self, images)
+
+    monkeypatch.setattr(VisionEncoder, "encode_batch", counting)
+
+    def eval_pass():
+        model = PromptedClip(enc, init_prompts(2, 2, enc.d_tok, enc.d, 0),
+                             split_templates(load_template_bank("6"), 2, 0))
+        bt, nt = split_for(base, n_per=40), split_for(new, n_per=40, seed=1)
+        return [(evaluate_standard(model, bt, nt, base, new, mode),
+                 *evaluate_generalized(model, bt, nt, base, new,
+                                       ["squash", "heron"], mode))
+                for mode in MODES]
+
+    first = eval_pass()
+    assert sizes == [40, 40] * 2      # each 80-image split in two chunks
+    second = eval_pass()
+    assert sizes == [40, 40] * 2 and second == first
 
 
 def test_centroid_distance_matrix_properties(eval_model):

@@ -1,14 +1,10 @@
+import dataclasses
 import math
-import os
-import sys
-import threading
-import time
 import warnings
 
 import numpy as np
 import pytest
 
-import lasp.model
 from lasp import autodiff
 from lasp.autodiff import Tensor, grad_check, no_grad
 from lasp.data import SHIFT_TEMPLATE
@@ -183,119 +179,69 @@ def test_encode_images_grad_check_across_chunks(small_model, monkeypatch):
     assert report["passed"], report["max_rel_error"]
 
 
-@pytest.mark.parametrize("helpers", [0, 1, 3])
-@pytest.mark.parametrize("n", [65, 130, 1000])
-def test_shared_encode_equals_one_pass(small_model, monkeypatch, n, helpers):
-    model = small_model
-    images = np.random.default_rng(n).random((n, *IMAGE_SHAPE))
-    monkeypatch.setattr(lasp.model, "_cores", lambda: helpers + 1)
-    threads = threading.active_count()
-    with no_grad():
-        whole = model.vision_encoder.encode_batch(Tensor(images)).data
-        sizes = count_vision_passes(model, monkeypatch)
-        got = model.encode_images(images).data
-    assert got.tobytes() == whole.tobytes()
-    assert len(sizes) == math.ceil(n / IMAGE_CHUNK) and sum(sizes) == n
-    assert min(sizes) > 1 and max(sizes) <= IMAGE_CHUNK
-    assert threading.active_count() == threads    # helpers end with the call
-
-
-def test_taped_encode_starts_no_thread(small_model, monkeypatch):
-    model = small_model
-    model.vision_encoder.set_ln_trainable(True)
-    monkeypatch.setattr(lasp.model, "_cores", lambda: 4)
-    started = []
-    monkeypatch.setattr(threading.Thread, "start",
-                        lambda self: started.append(self))
-    images = np.random.default_rng(0).random((3 * IMAGE_CHUNK, *IMAGE_SHAPE))
-    feats = model.encode_images(images)
-    feats.sum().backward()
-    assert feats.shape == (len(images), model.cfg.d) and started == []
-
-
-def test_a_failing_helper_chunk_raises_data_error(small_model, monkeypatch):
+def test_a_failing_helper_chunk_raises_data_error(small_model, monkeypatch,
+                                                  feature_cache):
     # three chunks of 50, the last all pixels on which the tower overflows;
-    # warnings as errors show the caller's errstate reached the helper
+    # warnings as errors show the encode runs in frozen_features' errstate,
+    # and a failure is not kept, so a second call encodes and raises again
     images = np.random.default_rng(0).random((150, *IMAGE_SHAPE))
     images[100:] = 1e307
     split = FewShotDataset(images, np.zeros(150, dtype=np.int64), "base-test")
-    monkeypatch.setattr(lasp.model, "_cores", lambda: 3)
-    threads = threading.active_count()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DataError,
-                           match="base-test image features are not finite"):
-            small_model.frozen_features(split)
+    sizes = count_vision_passes(small_model, monkeypatch)
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError,
+                               match="base-test image features are not finite"):
+                small_model.frozen_features(split)
     assert autodiff._grad_enabled is True
-    assert threading.active_count() == threads
+    assert sizes == [50, 50, 50] * 2 and feature_cache == {}
 
 
-def test_every_shared_map_thread_runs_in_the_callers_errstate():
-    # the barrier holds each thread to one item, so all four take part
-    barrier = threading.Barrier(4, timeout=30)
-
-    def item(_):
-        barrier.wait()
-        return threading.get_ident(), np.geterr()["over"]
-
-    with np.errstate(over="ignore"):
-        got = lasp.model._shared_map(item, list(range(4)), 3)
-    assert len({ident for ident, _ in got}) == 4
-    assert {over for _, over in got} == {"ignore"}
+def uncached_features(model, images: np.ndarray) -> np.ndarray:
+    with no_grad():
+        return model.encode_images(images).data
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                    reason="OS threads are listed under /proc on Linux only")
-def test_shared_map_returns_once_its_helper_os_threads_are_gone():
-    # glibc frees a thread's malloc arena for the next helper as the OS
-    # thread ends, which is after Thread.join has returned
-    barrier = threading.Barrier(4, timeout=30)
-
-    def item(_):
-        barrier.wait()
-        return threading.get_native_id()
-
-    helpers = set(lasp.model._shared_map(item, list(range(4)), 3))
-    helpers.discard(threading.get_native_id())
-    assert len(helpers) == 3
-    assert not helpers & {int(t) for t in os.listdir("/proc/self/task")}
+def test_frozen_features_are_read_only_and_encoded_once(small_model,
+                                                        monkeypatch,
+                                                        feature_cache):
+    images = np.random.default_rng(0).random((130, *IMAGE_SHAPE))
+    split = FewShotDataset(images, np.zeros(130, dtype=np.int64), "base-test")
+    sizes = count_vision_passes(small_model, monkeypatch)
+    feats = small_model.frozen_features(split)
+    again = small_model.frozen_features(split)
+    assert again is feats and len(sizes) == 3
+    assert feats.tobytes() == uncached_features(small_model, images).tobytes()
+    assert not feats.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        feats[0, 0] = 0.0
 
 
-def test_shared_map_hands_out_nothing_after_the_first_error():
-    # items 0-2 hold their threads until the error of item 3 is recorded in
-    # _shared_map's ``errors``, so each of the four threads claims one of
-    # items 0-3, and none may claim another once it returns
-    calls = []
-
-    def item(i):
-        calls.append(i)
-        if i == 3:
-            raise ValueError("item 3")
-        errors = sys._getframe(1).f_locals["errors"]
-        deadline = time.monotonic() + 30
-        while not errors and time.monotonic() < deadline:
-            time.sleep(1e-3)
-        return i
-
-    threads = threading.active_count()
-    with pytest.raises(ValueError, match="item 3"):
-        lasp.model._shared_map(item, list(range(100)), 3)
-    assert sorted(calls) == [0, 1, 2, 3]
-    assert threading.active_count() == threads
+def test_images_changed_in_place_get_fresh_features(small_model,
+                                                    feature_cache):
+    images = np.random.default_rng(0).random((70, *IMAGE_SHAPE))
+    split = FewShotDataset(images, np.zeros(70, dtype=np.int64), "base-test")
+    before = small_model.frozen_features(split)
+    images[-1] *= 0.5
+    after = small_model.frozen_features(split)
+    assert not np.array_equal(after[-1], before[-1])
+    assert np.array_equal(after[:-1], before[:-1])
+    assert after.tobytes() == uncached_features(small_model, images).tobytes()
 
 
-def test_shared_map_claims_every_item_once_under_fast_switching():
-    seen = []
-
-    def item(i):
-        seen.append(i)
-        return -i
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = lasp.model._shared_map(item, list(range(20_000)), 7)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(seen) == list(range(20_000))
-    assert got == [-i for i in range(20_000)]
+def test_towers_that_differ_only_in_heads_get_their_own_features(small_enc,
+                                                                 feature_cache):
+    # n_heads changes the features but no parameter's shape or bytes
+    bank = split_templates(load_template_bank("6"), 1, 0)
+    models = [PromptedClip(enc, init_prompts(1, 2, enc.d_tok, enc.d, 0), bank)
+              for enc in (small_enc, dataclasses.replace(small_enc, n_heads=1))]
+    one, two = ({k: p.data for k, p in m.vision_encoder.named_params().items()}
+                for m in models)
+    assert all(np.array_equal(one[k], two[k]) for k in one)
+    images = np.random.default_rng(0).random((4, *IMAGE_SHAPE))
+    split = FewShotDataset(images, np.zeros(4, dtype=np.int64), "base-test")
+    for model in models:
+        assert (model.frozen_features(split).tobytes()
+                == uncached_features(model, images).tobytes())
+    assert len(feature_cache) == 2

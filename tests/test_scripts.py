@@ -95,6 +95,7 @@ def test_bitcheck_smoke(capsys):
     for name in ("train/checkpoint.bin", "train/train.log",
                  "train-ln/checkpoint.bin", "frozen-features/new-test",
                  "frozen-features/random-1000",
+                 "train-ln-loaded/frozen-features/base-test",
                  "anchors/base+new", "text/B2-S2/features",
                  "text/B2-S5/input-grad", "vision/B2/pixel-grad",
                  "vision/B1/vision.ln_f_b-grad"):

@@ -180,21 +180,20 @@ print((after - before) / len(log.rows))
 FAULTS_PER_ENCODE = """
 import resource
 import numpy as np
+from lasp.autodiff import no_grad
 from lasp.encoders import IMAGE_SHAPE, EncoderConfig
 from lasp.model import PromptedClip
 from lasp.prompts import init_prompts, load_template_bank, split_templates
-from lasp.trainer import FewShotDataset
 
 enc = EncoderConfig()
 model = PromptedClip(enc, init_prompts(1, 4, enc.d_tok, enc.d, 0),
                      split_templates(load_template_bank("6"), 1, 0))
-rng = np.random.default_rng(0)
-data = FewShotDataset(rng.random((1000,) + IMAGE_SHAPE),
-                      np.zeros(1000, dtype=np.int64), "base-test")
-model.frozen_features(data)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-model.frozen_features(data)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+images = np.random.default_rng(0).random((1000,) + IMAGE_SHAPE)
+with no_grad():
+    model.encode_images(images)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.encode_images(images)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 print(after - before)
 """
 
@@ -395,7 +394,8 @@ def fit_with_image_batches(trainer, data) -> TrainLog:
     return log
 
 
-def test_fit_encodes_frozen_pool_once(small_enc, monkeypatch):
+def test_fit_encodes_frozen_pool_once(small_enc, monkeypatch,
+                                      feature_cache):
     data = tiny_data(n_per=4)      # 12 images, batches of 4: none holds one
     _, ref_trainer, _ = tiny_setup(small_enc, epochs=3)
     ref_log = fit_with_image_batches(ref_trainer, data)
@@ -418,6 +418,26 @@ def test_fit_with_ln_finetune_encodes_every_step(small_enc, monkeypatch):
         feats = model.encode_images(data.images[:4]).data
     with pytest.raises(ConfigError, match="ln_finetune"):
         trainer.train_step(feats, data.labels[:4], lr=0.01)
+
+
+def test_frozen_features_follow_the_vision_ln_affines(tmp_path, small_enc):
+    # the trained model and the fresh one both read their features under the
+    # untrained affines first, then have them rewritten in place
+    data = tiny_data()
+    model, trainer, cfg = tiny_setup(small_enc, epochs=2, ln_finetune=True)
+    untrained = model.frozen_features(data)
+    trainer.fit(data)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, model, cfg, steps=6)
+    fresh = tiny_setup(small_enc)[0]
+    assert fresh.frozen_features(data) is untrained
+    load_checkpoint(path, fresh)
+    for m in (model, fresh):
+        feats = m.frozen_features(data)
+        with no_grad():
+            plain = m.encode_images(data.images).data
+        assert feats.tobytes() == plain.tobytes()
+        assert not np.array_equal(feats, untrained)
 
 
 def test_parameter_scope_ln_off_vs_on(small_enc):
