@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 
 import numpy as np
 
@@ -18,24 +19,23 @@ from .prompts import PromptSet, TemplateBank, assemble_learnable_prompt
 # in again on every encode; passes of at most this many reuse their memory.
 IMAGE_CHUNK = 64
 
-# Read-only frozen features of every split this process has encoded, by
-# ``_features_key``.
-_frozen_features: dict[bytes, np.ndarray] = {}
+# Read-only frozen features of every live split this process has encoded, by
+# ``_features_key``; an entry goes when its split's images do.
+_frozen_features: dict[tuple[int, bytes], np.ndarray] = {}
 
 
-def _features_key(vision_encoder: VisionEncoder, images: np.ndarray) -> bytes:
-    """sha256 of all that a split's frozen features depend on: the tower's
-    config, the name, shape and bytes of each of its parameters, and the
-    shape and bytes of the (C-contiguous float64) images. Bytes, not object
-    identity: callers change image arrays in place, and ``load_checkpoint``
-    and ``ln_finetune`` steps rewrite the LayerNorm affines in place."""
+def _features_key(vision_encoder: VisionEncoder,
+                  images: np.ndarray) -> tuple[int, bytes]:
+    """The identity of a split's images and a sha256 of the tower's config
+    and the name, shape and bytes of each of its parameters. Identity is
+    enough for the images, which ``FewShotDataset`` keeps read-only; the
+    parameters are hashed, because ``load_checkpoint`` and ``ln_finetune``
+    steps rewrite the LayerNorm affines in place."""
     h = hashlib.sha256(repr(vision_encoder.cfg).encode())
     for name, p in sorted(vision_encoder.named_params().items()):
         h.update(f"{name}{p.shape}".encode())
         h.update(np.ascontiguousarray(p.data))
-    h.update(repr(images.shape).encode())
-    h.update(images)
-    return h.digest()
+    return id(images), h.digest()
 
 
 class PromptedClip:
@@ -96,12 +96,13 @@ class PromptedClip:
                        for c in chunks], axis=0)
 
     def frozen_features(self, dataset) -> np.ndarray:
-        """(N, d) read-only features of a split's images, encoded without a
-        tape once per images and vision-tower state in this process (see
+        """(N, d) read-only features of a ``FewShotDataset``'s images,
+        encoded without a tape once per images array and vision-tower state
+        in this process, and kept while the images live (see
         ``_features_key``). Pixels large enough to overflow the tower are a
         fault of the data: non-finite features raise ``DataError`` naming
         ``dataset.split``, and are not kept."""
-        x = np.ascontiguousarray(dataset.images, dtype=np.float64)
+        x = dataset.images
         key = _features_key(self.vision_encoder, x)
         feats = _frozen_features.get(key)
         if feats is not None:
@@ -115,4 +116,5 @@ class PromptedClip:
             raise DataError(f"{dataset.split} image features are not finite")
         feats.flags.writeable = False
         _frozen_features[key] = feats
+        weakref.finalize(x, _frozen_features.pop, key, None)
         return feats

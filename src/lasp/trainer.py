@@ -57,9 +57,21 @@ class TrainConfig:
 
 @dataclass
 class FewShotDataset:
+    """One tagged split. ``images`` is a read-only, C-contiguous float64
+    array that owns its data, so frozen features can be kept by its identity
+    (``model.frozen_features``): an array that already is one is frozen in
+    place, any other (a view, another dtype or order) is copied first."""
     images: np.ndarray       # (N, h, w, c)
     labels: np.ndarray       # (N,) integer indices into the class list
     split: str               # base-train | base-test | new-test
+
+    def __post_init__(self):
+        x = self.images
+        if not (type(x) is np.ndarray and x.dtype == np.float64
+                and x.flags.c_contiguous and x.flags.owndata):
+            x = np.array(x, dtype=np.float64, order="C")
+        x.flags.writeable = False
+        self.images = x
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -76,7 +88,7 @@ def sample_few_shot(images: np.ndarray, labels: np.ndarray, shots: int,
             raise DataError(f"class {c} has {idx.size} examples, need {shots}")
         picked.append(rng.choice(idx, size=shots, replace=False))
     sel = np.sort(np.concatenate(picked))
-    return FewShotDataset(images[sel].copy(), labels[sel].copy(), "base-train")
+    return FewShotDataset(images[sel], labels[sel], "base-train")
 
 
 def learning_rate_at(step: int, total_steps: int, warmup_steps: int,

@@ -127,11 +127,12 @@ def test_a_pass_encodes_each_split_once_and_a_fresh_model_none(
         return encode(self, images)
 
     monkeypatch.setattr(VisionEncoder, "encode_batch", counting)
+    # one set of splits for both passes, as RunContext keeps its splits
+    bt, nt = split_for(base, n_per=40), split_for(new, n_per=40, seed=1)
 
     def eval_pass():
         model = PromptedClip(enc, init_prompts(2, 2, enc.d_tok, enc.d, 0),
                              split_templates(load_template_bank("6"), 2, 0))
-        bt, nt = split_for(base, n_per=40), split_for(new, n_per=40, seed=1)
         return [(evaluate_standard(model, bt, nt, base, new, mode),
                  *evaluate_generalized(model, bt, nt, base, new,
                                        ["squash", "heron"], mode))

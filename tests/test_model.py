@@ -218,16 +218,53 @@ def test_frozen_features_are_read_only_and_encoded_once(small_model,
         feats[0, 0] = 0.0
 
 
-def test_images_changed_in_place_get_fresh_features(small_model,
-                                                    feature_cache):
-    images = np.random.default_rng(0).random((70, *IMAGE_SHAPE))
-    split = FewShotDataset(images, np.zeros(70, dtype=np.int64), "base-test")
-    before = small_model.frozen_features(split)
-    images[-1] *= 0.5
-    after = small_model.frozen_features(split)
-    assert not np.array_equal(after[-1], before[-1])
-    assert np.array_equal(after[:-1], before[:-1])
-    assert after.tobytes() == uncached_features(small_model, images).tobytes()
+def test_split_images_are_read_only():
+    # features are kept by the identity of a split's images, so no write
+    # may reach them: an owned float64 C array is frozen in place, and any
+    # other array is copied into one first
+    labels = np.zeros(3, dtype=np.int64)
+    x = np.random.default_rng(0).random((3, *IMAGE_SHAPE))
+    split = FewShotDataset(x, labels, "base-test")
+    assert split.images is x
+    with pytest.raises(ValueError, match="read-only"):
+        split.images[0, 0, 0, 0] = 0.0
+    base = np.random.default_rng(1).random((6, *IMAGE_SHAPE))
+    for other in (base[::2], base[:3].astype(np.float32),
+                  np.asfortranarray(base[:3])):
+        split = FewShotDataset(other, labels, "base-test")
+        x = split.images
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert x.flags.owndata and not x.flags.writeable
+        assert np.array_equal(x, other)
+        before = x.copy()
+        base[:] = 0.5
+        other[...] = 0.25
+        assert np.array_equal(x, before)
+
+
+def test_features_go_when_their_split_does(small_model, feature_cache):
+    images = np.random.default_rng(0).random((4, *IMAGE_SHAPE))
+    split = FewShotDataset(images, np.zeros(4, dtype=np.int64), "base-test")
+    feats = small_model.frozen_features(split)
+    assert len(feature_cache) == 1
+    del split, images
+    assert feature_cache == {} and not feats.flags.writeable
+
+
+def test_equal_images_in_a_new_array_are_encoded_again(small_model,
+                                                       monkeypatch,
+                                                       feature_cache):
+    # the key is the images array's identity, not its bytes
+    images = np.random.default_rng(0).random((4, *IMAGE_SHAPE))
+    labels = np.zeros(4, dtype=np.int64)
+    one = FewShotDataset(images, labels, "base-test")
+    two = FewShotDataset(images.copy(), labels, "base-test")
+    sizes = count_vision_passes(small_model, monkeypatch)
+    first = small_model.frozen_features(one)
+    second = small_model.frozen_features(two)
+    assert sizes == [4, 4] and len(feature_cache) == 2
+    assert second is not first and second.tobytes() == first.tobytes()
+    assert small_model.frozen_features(one) is first and sizes == [4, 4]
 
 
 def test_towers_that_differ_only_in_heads_get_their_own_features(small_enc,

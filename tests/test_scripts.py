@@ -79,7 +79,7 @@ def test_bitcheck_smoke(capsys):
              "samples_per_class=3", "test_samples=2", "shots=2",
              "batch_size=4", "groups=2", "templates=6"]
     argv = ([a for kv in small for a in ("--set", kv)]
-            + ["--epochs", "1", "--text-batches", "2", "--text-lengths", "2",
+            + ["--epochs", "2", "--text-batches", "2", "--text-lengths", "2",
                "5", "--vision-batches", "1", "2"])
     bitcheck = load_script("bitcheck")
     assert bitcheck.main(argv) == 0
