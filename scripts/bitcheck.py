@@ -21,8 +21,8 @@ Each line is ``<sha256>  <output>``. The outputs are:
   images drawn at ``--seed``, encoded in 16 chunks;
 - the frozen features of every fixture split again, once the
   ``ln_finetune=1`` run's checkpoint is loaded into that model: features
-  are kept per images and vision-tower state, so features kept from before
-  the load would show up as a diff;
+  are kept on each split per vision-tower config and LayerNorm state, so
+  features kept from before the load would show up as a diff;
 - text-tower features and input grads of random embeddings at every
   ``(B, S)`` of ``--text-batches`` x ``--text-lengths``;
 - vision-tower features, pixel grads and the 10 LayerNorm-affine grads of

@@ -380,8 +380,6 @@ def cmd_eval(cfg: dict[str, str], run_dir: str) -> int:
     ctx = RunContext(cfg)
     model = ctx.build_model()
     if cfg["checkpoint"]:
-        if not os.path.exists(cfg["checkpoint"]):
-            raise DataError(f"checkpoint not found: {cfg['checkpoint']}")
         load_checkpoint(cfg["checkpoint"], model)
     return ctx.report(model, run_dir, cfg["mode"])
 

@@ -1,8 +1,10 @@
 """Frozen miniature dual encoder: transformer text tower and patch vision tower.
 
 Weights are drawn once from a seeded Gaussian and frozen ("synthetic
-pretrained"). Gradients flow only through inputs (prompt slots, image
-pixels) and, when enabled, the vision tower's LayerNorm affine params.
+pretrained"): each tower makes them read-only when it is built, all but the
+vision tower's LayerNorm affines, which ``ln_finetune`` trains and
+checkpoints restore in place. Gradients flow only through inputs (prompt
+slots, image pixels) and, when enabled, those affines.
 """
 
 from __future__ import annotations
@@ -96,6 +98,13 @@ def _gauss(rng, shape):
     return rng.normal(0.0, EMB_STD, size=shape)
 
 
+def _freeze(params, keep=()) -> None:
+    """Make the data of every tensor in ``params`` read-only but ``keep``'s."""
+    for t in params:
+        if not any(t is k for k in keep):
+            t.data.flags.writeable = False
+
+
 def _weight(rng, shape):
     # width-scaled init keeps activations O(1) so the class token's
     # contribution survives the residual stream of a random network
@@ -169,8 +178,8 @@ class TextEncoder:
 
     It owns the tokenizer of its ``max_len`` and the frozen text work: the
     anchors of hand-crafted templates and the constant name frames of
-    learnable prompts, each cached per input and read-only. lasp reaches
-    the one tower of a config through ``text_tower``.
+    learnable prompts, each cached per input and read-only, as is every
+    weight. lasp reaches the one tower of a config through ``text_tower``.
     """
 
     def __init__(self, cfg: EncoderConfig):
@@ -181,6 +190,7 @@ class TextEncoder:
         self.pos = Tensor(_gauss(rng, (cfg.max_len, cfg.d_tok)))
         self.trunk = _Transformer(cfg, rng, "text")
         self.proj = Tensor(_weight(rng, (cfg.d_tok, cfg.d)))
+        _freeze(self.named_params().values())
         self._anchor_cache: dict[tuple, np.ndarray] = {}
         self._frame_cache: dict[tuple[str, ...],
                                 tuple[list[np.ndarray], np.ndarray]] = {}
@@ -283,7 +293,8 @@ def text_tower(cfg: EncoderConfig) -> TextEncoder:
 
 
 class VisionEncoder:
-    """Frozen patch-transformer vision tower with optionally trainable LN."""
+    """Frozen patch-transformer vision tower with optionally trainable LN;
+    every weight but the LN affines of ``trunk.ln_params()`` is read-only."""
 
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
@@ -295,6 +306,7 @@ class VisionEncoder:
         self.pos = Tensor(_gauss(rng, (n_patches + 1, cfg.d_tok)))
         self.trunk = _Transformer(cfg, rng, "vision")
         self.proj = Tensor(_weight(rng, (cfg.d_tok, cfg.d)))
+        _freeze(self.named_params().values(), keep=self.trunk.ln_params())
 
     def set_ln_trainable(self, flag: bool):
         for t in self.trunk.ln_params():
@@ -332,9 +344,8 @@ def trainable_parameters(prompt_set, vision_encoder: VisionEncoder,
     """Exactly {prompt vectors, shared bias} plus vision LN affines if enabled."""
     params = {"prompts.vectors": prompt_set.vectors, "prompts.bias": prompt_set.bias}
     if ln_finetune:
-        for i, lyr in enumerate(vision_encoder.trunk.layers):
-            for k in ("ln1_g", "ln1_b", "ln2_g", "ln2_b"):
-                params[f"vision.layer{i}.{k}"] = lyr[k]
-        params["vision.ln_f_g"] = vision_encoder.trunk.ln_f_g
-        params["vision.ln_f_b"] = vision_encoder.trunk.ln_f_b
+        trunk = vision_encoder.trunk
+        ln = trunk.ln_params()
+        params.update((k, p) for k, p in trunk.named_params().items()
+                      if any(p is t for t in ln))
     return params

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
-import weakref
 
 import numpy as np
 
@@ -18,25 +16,6 @@ from .prompts import PromptSet, TemplateBank, assemble_learnable_prompt
 # large enough that the allocator hands them back to the OS and faults them
 # in again on every encode; passes of at most this many reuse their memory.
 IMAGE_CHUNK = 64
-
-# Read-only frozen features of every live split this process has encoded, by
-# ``_features_key``; an entry goes when its split's images do.
-_frozen_features: dict[tuple[int, bytes], np.ndarray] = {}
-
-
-def _features_key(vision_encoder: VisionEncoder,
-                  images: np.ndarray) -> tuple[int, bytes]:
-    """The identity of a split's images and a sha256 of the tower's config
-    and the name, shape and bytes of each of its parameters. Identity is
-    enough for the images, which ``FewShotDataset`` keeps read-only; the
-    parameters are hashed, because ``load_checkpoint`` and ``ln_finetune``
-    steps rewrite the LayerNorm affines in place."""
-    h = hashlib.sha256(repr(vision_encoder.cfg).encode())
-    for name, p in sorted(vision_encoder.named_params().items()):
-        h.update(f"{name}{p.shape}".encode())
-        h.update(np.ascontiguousarray(p.data))
-    return id(images), h.digest()
-
 
 class PromptedClip:
     """Synthetic-pretrained dual encoder plus a learnable prompt set.
@@ -97,24 +76,25 @@ class PromptedClip:
 
     def frozen_features(self, dataset) -> np.ndarray:
         """(N, d) read-only features of a ``FewShotDataset``'s images,
-        encoded without a tape once per images array and vision-tower state
-        in this process, and kept while the images live (see
-        ``_features_key``). Pixels large enough to overflow the tower are a
-        fault of the data: non-finite features raise ``DataError`` naming
-        ``dataset.split``, and are not kept."""
-        x = dataset.images
-        key = _features_key(self.vision_encoder, x)
-        feats = _frozen_features.get(key)
+        encoded without a tape once per split and vision-tower state and
+        kept in ``dataset.features``. The images and every other tower
+        weight are read-only, so that state is the tower's config and the
+        bytes of its LayerNorm affines, which ``ln_finetune`` steps and
+        ``load_checkpoint`` rewrite in place. Pixels large enough to
+        overflow the tower are a fault of the data: non-finite features
+        raise ``DataError`` naming ``dataset.split``, and are not kept."""
+        ve = self.vision_encoder
+        key = (ve.cfg, b"".join(p.data.tobytes() for p in ve.trunk.ln_params()))
+        feats = dataset.features.get(key)
         if feats is not None:
             return feats
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             try:
-                feats = self.encode_images(x).data
+                feats = self.encode_images(dataset.images).data
             except NumericError:    # an attention softmax met inf first
                 feats = None
         if feats is None or not np.isfinite(feats).all():
             raise DataError(f"{dataset.split} image features are not finite")
         feats.flags.writeable = False
-        _frozen_features[key] = feats
-        weakref.finalize(x, _frozen_features.pop, key, None)
+        dataset.features[key] = feats
         return feats

@@ -32,9 +32,13 @@ def save_tensors(path, named: dict[str, np.ndarray], meta: dict[str, str] | None
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Read a file written by ``save_tensors``; ``DataError`` if malformed."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Read a file written by ``save_tensors``; ``DataError`` if it cannot
+    be read or is malformed."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read weight file {path}: {exc.strerror}") from exc
     if not raw.startswith(MAGIC.encode() + b"\n"):
         raise DataError(f"{path}: not a weight file (bad magic {raw[:16]!r})")
     head_end = raw.find(b"\n\n")

@@ -55,15 +55,18 @@ class TrainConfig:
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FewShotDataset:
-    """One tagged split. ``images`` is a read-only, C-contiguous float64
-    array that owns its data, so frozen features can be kept by its identity
-    (``model.frozen_features``): an array that already is one is frozen in
-    place, any other (a view, another dtype or order) is copied first."""
+    """One tagged split and its images' frozen features by vision-tower
+    state (``model.frozen_features``). ``images`` is a read-only, C-contiguous
+    float64 array that owns its data, so no write reaches it: an array that
+    already is one is frozen in place, any other (a view, another dtype or
+    order) is copied first."""
     images: np.ndarray       # (N, h, w, c)
     labels: np.ndarray       # (N,) integer indices into the class list
     split: str               # base-train | base-test | new-test
+    features: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         x = self.images
@@ -71,7 +74,7 @@ class FewShotDataset:
                 and x.flags.c_contiguous and x.flags.owndata):
             x = np.array(x, dtype=np.float64, order="C")
         x.flags.writeable = False
-        self.images = x
+        object.__setattr__(self, "images", x)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -3,7 +3,6 @@ import time
 import numpy as np
 import pytest
 
-import lasp.model
 from lasp.cli import RunContext, resolve_config
 from lasp.encoders import EncoderConfig, TextEncoder, VisionEncoder, text_tower
 from lasp.model import PromptedClip
@@ -32,14 +31,6 @@ def builds(monkeypatch):
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counting)
     return counts
-
-
-@pytest.fixture
-def feature_cache():
-    """The process-wide cache of frozen image features, emptied first, so
-    that a test counting encodes sees every one."""
-    lasp.model._frozen_features.clear()
-    return lasp.model._frozen_features
 
 
 class AcceptanceBench:

@@ -107,12 +107,17 @@ def test_eval_against_checkpoint(tmp_path):
 
 
 def test_eval_malformed_checkpoint_is_data_error(tmp_path, capsys):
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"garbage")
-    code, _ = run(["eval"] + FAST + ["--set", f"checkpoint={bad}"], tmp_path)
-    assert code == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "not a weight file" in err
+    garbage = tmp_path / "bad.bin"
+    garbage.write_bytes(b"garbage")
+    directory = tmp_path / "dir.bin"
+    directory.mkdir()
+    for bad, message in ((garbage, "not a weight file"),
+                         (directory, "cannot read weight file")):
+        code, _ = run(["eval"] + FAST + ["--set", f"checkpoint={bad}"],
+                      tmp_path, bad.stem)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
 
 
 def test_eval_checkpoint_with_other_groups_is_data_error(tmp_path, capsys):

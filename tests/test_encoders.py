@@ -104,6 +104,31 @@ def test_trainable_parameters_scope(small_enc):
     on = trainable_parameters(prompts, ve, ln_finetune=True)
     extra = set(on) - set(off)
     assert extra and all(k.startswith("vision.") and ("ln" in k) for k in extra)
+    # checkpoints store the affines under these names, in this order
+    assert list(on)[2:] == [f"vision.layer{i}.{k}"
+                            for i in range(small_enc.n_layers)
+                            for k in ("ln1_g", "ln1_b", "ln2_g", "ln2_b")
+                            ] + ["vision.ln_f_g", "vision.ln_f_b"]
+    assert all(a is b for a, b in zip(list(on.values())[2:],
+                                       ve.trunk.ln_params(), strict=True))
+
+
+@pytest.mark.parametrize("tower", [TextEncoder, VisionEncoder])
+def test_fixed_weights_are_read_only(small_enc, tower):
+    # a tower's features then depend on its config and, in the vision
+    # tower, the LayerNorm affines alone
+    enc = tower(small_enc)
+    ln = enc.trunk.ln_params() if tower is VisionEncoder else []
+    writeable = 0
+    for t in enc.named_params().values():
+        if any(t is a for a in ln):
+            t.data[...] = t.data
+            writeable += 1
+        else:
+            with pytest.raises(ValueError, match="read-only"):
+                t.data[...] = 0.0
+    assert writeable == len(ln)
+    assert tower is TextEncoder or writeable == 2 + 4 * small_enc.n_layers
 
 
 def full_stack(trunk, x):

@@ -115,8 +115,7 @@ def test_evaluate_generalized_rejects_collisions(eval_model):
                              base, new, ["violet"])
 
 
-def test_a_pass_encodes_each_split_once_and_a_fresh_model_none(
-        monkeypatch, feature_cache):
+def test_a_pass_encodes_each_split_once_and_a_fresh_model_none(monkeypatch):
     enc = EncoderConfig(d_tok=8, d=8, n_layers=1, n_heads=2, max_len=16)
     base, new = ["oak", "rocket"], ["violet", "fern"]
     sizes = []

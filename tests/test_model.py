@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -179,8 +180,7 @@ def test_encode_images_grad_check_across_chunks(small_model, monkeypatch):
     assert report["passed"], report["max_rel_error"]
 
 
-def test_a_failing_helper_chunk_raises_data_error(small_model, monkeypatch,
-                                                  feature_cache):
+def test_a_failing_helper_chunk_raises_data_error(small_model, monkeypatch):
     # three chunks of 50, the last all pixels on which the tower overflows;
     # warnings as errors show the encode runs in frozen_features' errstate,
     # and a failure is not kept, so a second call encodes and raises again
@@ -195,7 +195,7 @@ def test_a_failing_helper_chunk_raises_data_error(small_model, monkeypatch,
                                match="base-test image features are not finite"):
                 small_model.frozen_features(split)
     assert autodiff._grad_enabled is True
-    assert sizes == [50, 50, 50] * 2 and feature_cache == {}
+    assert sizes == [50, 50, 50] * 2 and split.features == {}
 
 
 def uncached_features(model, images: np.ndarray) -> np.ndarray:
@@ -204,8 +204,7 @@ def uncached_features(model, images: np.ndarray) -> np.ndarray:
 
 
 def test_frozen_features_are_read_only_and_encoded_once(small_model,
-                                                        monkeypatch,
-                                                        feature_cache):
+                                                        monkeypatch):
     images = np.random.default_rng(0).random((130, *IMAGE_SHAPE))
     split = FewShotDataset(images, np.zeros(130, dtype=np.int64), "base-test")
     sizes = count_vision_passes(small_model, monkeypatch)
@@ -219,15 +218,17 @@ def test_frozen_features_are_read_only_and_encoded_once(small_model,
 
 
 def test_split_images_are_read_only():
-    # features are kept by the identity of a split's images, so no write
-    # may reach them: an owned float64 C array is frozen in place, and any
-    # other array is copied into one first
+    # features are kept on a split, so no write may reach its images: an
+    # owned float64 C array is frozen in place, any other array is copied
+    # into one first, and the split's images cannot be swapped for others
     labels = np.zeros(3, dtype=np.int64)
     x = np.random.default_rng(0).random((3, *IMAGE_SHAPE))
     split = FewShotDataset(x, labels, "base-test")
     assert split.images is x
     with pytest.raises(ValueError, match="read-only"):
         split.images[0, 0, 0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        split.images = x.copy()
     base = np.random.default_rng(1).random((6, *IMAGE_SHAPE))
     for other in (base[::2], base[:3].astype(np.float32),
                   np.asfortranarray(base[:3])):
@@ -242,19 +243,18 @@ def test_split_images_are_read_only():
         assert np.array_equal(x, before)
 
 
-def test_features_go_when_their_split_does(small_model, feature_cache):
+def test_features_go_when_their_split_does(small_model):
     images = np.random.default_rng(0).random((4, *IMAGE_SHAPE))
     split = FewShotDataset(images, np.zeros(4, dtype=np.int64), "base-test")
-    small_model.frozen_features(split)
-    assert len(feature_cache) == 1
-    del split, images
-    assert feature_cache == {}
+    feats = weakref.ref(small_model.frozen_features(split))
+    assert feats() is not None and len(split.features) == 1
+    del split
+    assert feats() is None
 
 
 def test_equal_images_in_a_new_array_are_encoded_again(small_model,
-                                                       monkeypatch,
-                                                       feature_cache):
-    # the key is the images array's identity, not its bytes
+                                                       monkeypatch):
+    # features are kept on the split, not by the images' bytes
     images = np.random.default_rng(0).random((4, *IMAGE_SHAPE))
     labels = np.zeros(4, dtype=np.int64)
     one = FewShotDataset(images, labels, "base-test")
@@ -262,13 +262,12 @@ def test_equal_images_in_a_new_array_are_encoded_again(small_model,
     sizes = count_vision_passes(small_model, monkeypatch)
     first = small_model.frozen_features(one)
     second = small_model.frozen_features(two)
-    assert sizes == [4, 4] and len(feature_cache) == 2
+    assert sizes == [4, 4] and len(one.features) == len(two.features) == 1
     assert second is not first and second.tobytes() == first.tobytes()
     assert small_model.frozen_features(one) is first and sizes == [4, 4]
 
 
-def test_towers_that_differ_only_in_heads_get_their_own_features(small_enc,
-                                                                 feature_cache):
+def test_towers_that_differ_only_in_heads_get_their_own_features(small_enc):
     # n_heads changes the features but no parameter's shape or bytes
     bank = split_templates(load_template_bank("6"), 1, 0)
     models = [PromptedClip(enc, init_prompts(1, 2, enc.d_tok, enc.d, 0), bank)
@@ -281,4 +280,4 @@ def test_towers_that_differ_only_in_heads_get_their_own_features(small_enc,
     for model in models:
         assert (model.frozen_features(split).tobytes()
                 == uncached_features(model, images).tobytes())
-    assert len(feature_cache) == 2
+    assert len(split.features) == 2

@@ -394,8 +394,7 @@ def fit_with_image_batches(trainer, data) -> TrainLog:
     return log
 
 
-def test_fit_encodes_frozen_pool_once(small_enc, monkeypatch,
-                                      feature_cache):
+def test_fit_encodes_frozen_pool_once(small_enc, monkeypatch):
     data = tiny_data(n_per=4)      # 12 images, batches of 4: none holds one
     _, ref_trainer, _ = tiny_setup(small_enc, epochs=3)
     ref_log = fit_with_image_batches(ref_trainer, data)
