@@ -24,9 +24,9 @@ def run_grid(seeds: list[int], epochs: int) -> int:
     # fails before the fixture is built
     for seed in seeds:
         TrainConfig(seed=seed)
+    warmup = min(TrainConfig.warmup_epochs, epochs)
     ctx = RunContext(resolve_config(None, [f"epochs={epochs}",
-                                           f"warmup_epochs={min(5, epochs)}"],
-                                    None))
+                                           f"warmup_epochs={warmup}"], None))
     grid = ctx.variants()
     del grid["lasp-v+distractors"]
 
@@ -64,7 +64,7 @@ def run_grid(seeds: list[int], epochs: int) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--epochs", type=int, default=150)
+    ap.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     args = ap.parse_args(argv)
     return run_reporting_errors(run_grid, args.seeds, args.epochs)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -41,39 +41,24 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
 
+# The dataclass fields a config sets, by config key. Their defaults are the
+# fields' own, written as strings (a bool as "0" or "1").
+_TRAIN_KEYS = {f.name: f for f in fields(TrainConfig)
+               if f.name not in ("virtual_classes", "divergence_limit")}
+_SPEC_KEYS = {("data_seed" if f.name == "seed" else f.name): f
+              for f in fields(SyntheticDatasetSpec)}
+
 DEFAULTS = {
-    # dataset
     "manifest": "",              # external dataset; empty -> synthetic fixture
-    "n_base": "10",
-    "n_new": "10",
-    "samples_per_class": "20",
-    "test_samples": "20",
-    "separation": "16.0",
-    "context_shift": "0.3",
-    "data_seed": "0",
-    "center_steps": "600",
-    # model / prompts
     "templates": "6",            # 1 | 6 | 34 | 100 | path
-    "groups": "3",
     "m_prompts": "4",
     "prompt_words": "a photo of a",   # empty -> Gaussian vectors
-    # training
-    "alpha_vl": "1.0",
-    "alpha_tt": "20.0",
-    "lr": "0.02",
-    "epochs": "150",
-    "warmup_epochs": "5",
-    "batch_size": "16",
-    "shots": "16",
-    "loss_kind": "ce",
-    "ln_finetune": "0",
     "virtual": "",               # "new" | comma-separated names | ""
-    "clip_norm": "10.0",
-    "seed": "0",
-    # evaluation
     "mode": "learned",           # learned | zero-shot
     "checkpoint": "",            # eval: load this checkpoint before scoring
     "distractors": "10",         # distract: how many pool names to add
+    **{key: str(int(f.default) if type(f.default) is bool else f.default)
+       for key, f in {**_TRAIN_KEYS, **_SPEC_KEYS}.items()},
 }
 
 
@@ -133,6 +118,17 @@ def _flag(cfg, key) -> bool:
     if v in ("0", "false", "no", "off", ""):
         return False
     raise ConfigError(f"config key {key}={cfg[key]!r} is not a boolean")
+
+
+def _parse(cfg, keys) -> dict:
+    """The values of ``keys`` (config key -> dataclass field) in ``cfg``,
+    by field name, each parsed as the type of the field's default."""
+    out = {}
+    for key, f in keys.items():
+        kind = type(f.default)
+        out[f.name] = (_flag(cfg, key) if kind is bool else
+                       cfg[key] if kind is str else _num(cfg, key, kind))
+    return out
 
 
 # -- run directory -------------------------------------------------------------
@@ -195,18 +191,7 @@ class RunContext:
                               f"{', '.join(MODES)}")
         self.cfg = cfg
         self.enc_cfg = EncoderConfig()
-        self.tcfg = TrainConfig(alpha_vl=_num(cfg, "alpha_vl", float),
-                                alpha_tt=_num(cfg, "alpha_tt", float),
-                                lr=_num(cfg, "lr", float),
-                                epochs=_num(cfg, "epochs", int),
-                                warmup_epochs=_num(cfg, "warmup_epochs", int),
-                                batch_size=_num(cfg, "batch_size", int),
-                                shots=_num(cfg, "shots", int),
-                                groups=_num(cfg, "groups", int),
-                                ln_finetune=_flag(cfg, "ln_finetune"),
-                                seed=_num(cfg, "seed", int),
-                                loss_kind=cfg["loss_kind"],
-                                clip_norm=_num(cfg, "clip_norm", float))
+        self.tcfg = TrainConfig(**_parse(cfg, _TRAIN_KEYS))
         self.m = _num(cfg, "m_prompts", int)
         if self.m < 1:
             raise ConfigError("config key m_prompts must be >= 1")
@@ -226,16 +211,7 @@ class RunContext:
         if self.distractors < 0:
             raise ConfigError("config key distractors must be >= 0")
         # checked even when a manifest replaces the fixture
-        self.spec = SyntheticDatasetSpec(
-            n_base=_num(cfg, "n_base", int),
-            n_new=_num(cfg, "n_new", int),
-            samples_per_class=_num(cfg, "samples_per_class", int),
-            test_samples=_num(cfg, "test_samples", int),
-            separation=_num(cfg, "separation", float),
-            seed=_num(cfg, "data_seed", int),
-            center_steps=_num(cfg, "center_steps", int),
-            context_shift=_num(cfg, "context_shift", float),
-        )
+        self.spec = SyntheticDatasetSpec(**_parse(cfg, _SPEC_KEYS))
         if not cfg["manifest"] and self.spec.n_base < 2:
             raise ConfigError("n_base must be >= 2 to classify base images")
         if not cfg["manifest"] and self.tcfg.shots > self.spec.samples_per_class:

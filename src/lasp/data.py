@@ -206,10 +206,10 @@ class SyntheticDatasetSpec:
     n_new: int = 10
     samples_per_class: int = 20       # training pool per base class
     test_samples: int = 20
-    separation: float = 4.0
+    separation: float = 16.0
     seed: int = 0
     center_steps: int = 600
-    context_shift: float = 0.0        # mix new-class targets toward SHIFT_TEMPLATE
+    context_shift: float = 0.3        # mix new-class targets toward SHIFT_TEMPLATE
 
     def __post_init__(self):
         for key in ("n_base", "n_new", "samples_per_class", "test_samples"):
@@ -294,15 +294,13 @@ def _center_targets(text: TextEncoder, bank: TemplateBank, names: list[str],
     return targets
 
 
-def make_synthetic_dataset(spec: SyntheticDatasetSpec,
-                           enc_cfg: EncoderConfig | None = None,
-                           template_source: TemplateBank | str = "34"
+def make_synthetic_dataset(spec: SyntheticDatasetSpec, enc_cfg: EncoderConfig,
+                           template_source: TemplateBank | str
                            ) -> SyntheticDataset:
     """The synthetic fixture. Its class centers are aimed at the anchors of
     ``template_source``: a loaded bank, or a ``load_template_bank`` source.
     It reads the anchors from the config's shared ``text_tower`` and builds
     a vision tower for the ascent."""
-    enc_cfg = enc_cfg or EncoderConfig()
     names = permuted_class_words(spec.seed)[: spec.n_base + spec.n_new]
     base_names, new_names = names[: spec.n_base], names[spec.n_base :]
     bank = (template_source if isinstance(template_source, TemplateBank)

@@ -76,13 +76,14 @@ class PromptedClip:
 
     def frozen_features(self, dataset) -> np.ndarray:
         """(N, d) read-only features of a ``FewShotDataset``'s images,
-        encoded without a tape once per split and vision-tower state and
-        kept in ``dataset.features``. The images and every other tower
-        weight are read-only, so that state is the tower's config and the
-        bytes of its LayerNorm affines, which ``ln_finetune`` steps and
-        ``load_checkpoint`` rewrite in place. Pixels large enough to
-        overflow the tower are a fault of the data: non-finite features
-        raise ``DataError`` naming ``dataset.split``, and are not kept."""
+        encoded without a tape and kept in ``dataset.features`` for the
+        vision-tower state they were encoded under; a new state replaces
+        them. The images and every other tower weight are read-only, so
+        that state is the tower's config and the bytes of its LayerNorm
+        affines, which ``ln_finetune`` steps and ``load_checkpoint``
+        rewrite in place. Pixels large enough to overflow the tower are a
+        fault of the data: non-finite features raise ``DataError`` naming
+        ``dataset.split``, and are not kept."""
         ve = self.vision_encoder
         key = (ve.cfg, b"".join(p.data.tobytes() for p in ve.trunk.ln_params()))
         feats = dataset.features.get(key)
@@ -96,5 +97,6 @@ class PromptedClip:
         if feats is None or not np.isfinite(feats).all():
             raise DataError(f"{dataset.split} image features are not finite")
         feats.flags.writeable = False
+        dataset.features.clear()
         dataset.features[key] = feats
         return feats

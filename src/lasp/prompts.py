@@ -83,9 +83,10 @@ class TemplateBank:
         return [i for i, gi in enumerate(self.group_of) if gi == g]
 
 
-def load_template_bank(source: str = "34") -> TemplateBank:
-    """Shipped banks: "34" (default), "100", "6" (surface-form paraphrases
-    of one context), "1" ("a photo of {}")."""
+def load_template_bank(source: str) -> TemplateBank:
+    """The bank of ``source``: shipped "1" ("a photo of {}"), "6" (surface
+    forms of one context; the CLI's ``templates`` default), "34" or "100",
+    else the path of a file of one template a line."""
     if source == "1":
         return TemplateBank(["a photo of {}"], source=source)
     if source in ("6", "34", "100"):

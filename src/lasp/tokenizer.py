@@ -41,8 +41,8 @@ class Tokenizer:
     the top of the vocabulary so they are stable across runs.
     """
 
-    def __init__(self, words: list[str] | None = None, max_len: int = 32):
-        words = default_word_list() if words is None else words
+    def __init__(self, max_len: int = 32):
+        words = default_word_list()
         if _FIRST_WORD_ID + len(words) > VOCAB_SIZE - HASH_BAND:
             raise ValueError("word list does not fit below the hash band")
         self.max_len = max_len

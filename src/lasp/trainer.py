@@ -22,9 +22,9 @@ from .serialization import load_tensors, save_tensors
 class TrainConfig:
     alpha_vl: float = 1.0
     alpha_tt: float = 20.0
-    lr: float = 0.002
-    epochs: int = 10
-    warmup_epochs: int = 1
+    lr: float = 0.02
+    epochs: int = 150
+    warmup_epochs: int = 5
     batch_size: int = 16
     shots: int = 16
     groups: int = 3
@@ -102,8 +102,8 @@ def learning_rate_at(step: int, total_steps: int, warmup_steps: int,
     if warmup_steps > 0 and step < warmup_steps:
         return base_lr * (step + 1) / warmup_steps
     span = total_steps - 1 - warmup_steps
-    if span <= 0:
-        return 0.0 if step == total_steps - 1 and span == 0 else base_lr
+    if span == 0:       # the one step after warmup is the last
+        return 0.0
     t = (step - warmup_steps) / span
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * t))
 

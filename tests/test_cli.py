@@ -7,11 +7,12 @@ import pytest
 from lasp.cli import (DEFAULTS, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE,
                       RunContext, main, parse_config_text, resolve_config)
 from lasp.encoders import EncoderConfig, VisionEncoder
-from lasp.data import (_class_word_pool, load_dataset, load_manifest,
-                       write_image_npt)
+from lasp.data import (SyntheticDatasetSpec, _class_word_pool, load_dataset,
+                       load_manifest, write_image_npt)
 from lasp.errors import ConfigError, DataError
 from lasp.prompts import init_prompts
 from lasp.serialization import load_tensors, save_tensors
+from lasp.trainer import TrainConfig
 
 FAST = ["--set", "center_steps=20", "--set", "epochs=1",
         "--set", "warmup_epochs=0", "--set", "n_base=2", "--set", "n_new=2",
@@ -266,6 +267,17 @@ def test_eval_missing_checkpoint_is_data_error(tmp_path):
     assert code == EXIT_DATA
 
 
+def test_ablate_templates_grid(tmp_path):
+    code, out = run(["ablate-templates", "--seed", "0"] + FAST, tmp_path)
+    assert code == EXIT_OK
+    labels = [f"{kind}-{n}" for kind in ("hand", "random")
+              for n in (1, 6, 34, 100)]
+    rows = (out / "report.txt").read_text().splitlines()[1:]
+    assert [row.split()[0] for row in rows] == labels
+    kv = (out / "report.kv").read_text().splitlines()
+    assert len(kv) == 24 and kv[-1].startswith("harmonic_mean, random-100,")
+
+
 def test_ablate_loss_grid(tmp_path):
     code, out = run(["ablate-loss", "--seed", "0"] + FAST, tmp_path)
     assert code == EXIT_OK
@@ -397,6 +409,23 @@ def test_run_context_builds_no_model_before_build_model(builds):
     # each model builds its own vision tower and shares the text tower
     assert builds == {"Tokenizer": 1, "TextEncoder": 1, "VisionEncoder": 3,
                       "PromptedClip": 2}
+
+
+def test_run_context_defaults_are_the_dataclass_defaults():
+    ctx = RunContext(resolve_config(None, ["center_steps=20"], None))
+    assert ctx.tcfg == TrainConfig()
+    assert ctx.spec == SyntheticDatasetSpec(center_steps=20)
+
+
+def test_tuned_fits_leave_one_feature_entry_per_split():
+    # each fit tunes its own LayerNorm state; scoring it replaces the
+    # features the split kept for the previous state
+    ctx = RunContext(resolve_config(None, FAST[1::2], None))
+    for seed in range(4):
+        model, _, _ = ctx.train(seed=seed, ln_finetune=True, epochs=2)
+        ctx.evaluate(model)
+        for split in ("base-test", "new-test"):
+            assert len(ctx.splits[split].features) == 1
 
 
 def test_models_share_the_text_tower_and_train_their_own_vision_tower():

@@ -277,7 +277,8 @@ def test_towers_that_differ_only_in_heads_get_their_own_features(small_enc):
     assert all(np.array_equal(one[k], two[k]) for k in one)
     images = np.random.default_rng(0).random((4, *IMAGE_SHAPE))
     split = FewShotDataset(images, np.zeros(4, dtype=np.int64), "base-test")
-    for model in models:
+    # each tower in turn replaces the split's features with its own
+    for model in models + models:
         assert (model.frozen_features(split).tobytes()
                 == uncached_features(model, images).tobytes())
-    assert len(split.features) == 2
+        assert len(split.features) == 1

@@ -41,10 +41,9 @@ def test_tokenize_truncates_to_max_len():
 
 @given(words_st)
 @settings(max_examples=50, deadline=None)
-def test_unknown_words_hash_into_band(word):
-    tok = Tokenizer(words=["known"])
+def test_unknown_words_hash_into_band(tok, word):
     wid = tok.word_id(word)
-    if word == "known":
+    if word in tok.vocab:
         assert wid < VOCAB_SIZE - HASH_BAND
     else:
         assert VOCAB_SIZE - HASH_BAND <= wid < VOCAB_SIZE
@@ -56,9 +55,12 @@ def test_word_id_deterministic(word):
     assert Tokenizer().word_id(word) == Tokenizer().word_id(word)
 
 
-def test_word_list_overflow_rejected():
-    with pytest.raises(ValueError):
-        Tokenizer(words=[f"w{i}" for i in range(5000)])
+def test_word_list_overflow_rejected(monkeypatch):
+    import lasp.tokenizer
+    monkeypatch.setattr(lasp.tokenizer, "default_word_list",
+                        lambda: [f"w{i}" for i in range(5000)])
+    with pytest.raises(ValueError, match="below the hash band"):
+        Tokenizer()
 
 
 def test_every_id_has_an_embedding_row(tok, small_enc):

@@ -80,6 +80,8 @@ def test_learning_rate_schedule_endpoints():
     assert learning_rate_at(total - 1, total, warmup, lr) == pytest.approx(0.0, abs=1e-9)
     mid = warmup + (total - 1 - warmup) // 2
     assert learning_rate_at(mid, total, warmup, lr) == pytest.approx(lr / 2, abs=1e-9)
+    # one step after warmup: it is the last, and its rate is 0
+    assert learning_rate_at(warmup, warmup + 1, warmup, lr) == 0.0
 
 
 def test_learning_rate_warmup_ramp():
@@ -255,6 +257,17 @@ def test_train_text_step_tape_size():
     feats = np.random.default_rng(0).standard_normal((16, enc.d))
     _, _, total = trainer._losses(feats, np.arange(16) % 10)
     assert tape_nodes(total) == 92
+
+
+def test_fit_without_the_image_term_leaves_the_bias_alone(small_enc):
+    # L_TT reads the raw rows, so with alpha_vl = 0 the shared bias gets no
+    # gradient and the step skips it
+    model, trainer, _ = tiny_setup(small_enc, alpha_vl=0.0)
+    before = model.prompt_set.vectors.data.copy()
+    log = trainer.fit(tiny_data())
+    assert not model.prompt_set.bias.data.any()
+    assert not np.array_equal(model.prompt_set.vectors.data, before)
+    assert [row[3] for row in log.rows] == [0.0] * 3
 
 
 def test_fit_is_deterministic(small_enc):
