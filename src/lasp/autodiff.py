@@ -23,10 +23,6 @@ class NumericError(ValueError):
     """Non-finite values where finite ones are required."""
 
 
-class DegenerateInputError(ValueError):
-    """Input is mathematically degenerate (e.g. zero-norm vector)."""
-
-
 _grad_enabled = True
 
 

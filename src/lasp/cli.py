@@ -25,8 +25,7 @@ from . import __version__
 from .data import (SyntheticDatasetSpec, load_dataset, load_manifest,
                    make_synthetic_dataset, permuted_class_words, write_dataset)
 from .encoders import IMAGE_SHAPE, EncoderConfig, text_tower
-from .errors import (ConfigError, DataError, DivergenceError, InputError,
-                     ProtocolError, TemplateError)
+from .errors import ConfigError, DataError, DivergenceError
 from .evaluator import (MODES, EvalReport, centroid_distance_matrix,
                         evaluate_generalized, evaluate_standard)
 from .model import PromptedClip
@@ -217,6 +216,12 @@ class RunContext:
         if not cfg["manifest"] and self.tcfg.shots > self.spec.samples_per_class:
             raise ConfigError(f"shots={self.tcfg.shots} exceeds samples_per_class"
                               f"={self.spec.samples_per_class}")
+        virtual = cfg["virtual"].strip()
+        named = tuple(n.strip() for n in virtual.split(",") if n.strip())
+        for name in named:
+            if named.count(name) > 1:
+                raise ConfigError(f"config key virtual lists {name!r} more "
+                                  f"than once")
         self.templates = load_template_bank(cfg["templates"])
         self._bank(self.tcfg.groups)    # checks the template count
         if cfg["manifest"]:
@@ -238,10 +243,8 @@ class RunContext:
             self.splits = data.splits
             self.base_names = list(data.base_names)
             self.new_names = list(data.new_names)
-        virtual = cfg["virtual"].strip()
         self.tcfg = replace(self.tcfg, virtual_classes=(
-            tuple(self.new_names) if virtual == "new"
-            else tuple(n.strip() for n in virtual.split(",") if n.strip())))
+            tuple(self.new_names) if virtual == "new" else named))
 
     def distractor_names(self) -> list[str]:
         """The first ``distractors`` names of the class-word pool permuted
@@ -507,10 +510,10 @@ def run_reporting_errors(command, *args) -> int:
     """
     try:
         return command(*args)
-    except (ConfigError, TemplateError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, InputError, ProtocolError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as exc:

@@ -128,6 +128,9 @@ class DatasetManifest:
                 if any(c in name for c in ",\r\n"):
                     raise DataError(f"class name {name!r} holds a comma or a "
                                     f"line break")
+                if names.count(name) > 1:
+                    raise DataError(f"manifest {key} lists class {name!r} "
+                                    f"more than once")
         if not isinstance(self.images, dict):
             raise DataError("manifest images must map each class to its parts")
         overlap = set(self.base_classes) & set(self.new_classes)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, concat, layer_norm, no_grad, transformer_block
-from .errors import ConfigError, InputError, TemplateError
+from .errors import ConfigError, DataError
 from .prompts import render_template
 from .tokenizer import END_ID, START_ID, VOCAB_SIZE, Tokenizer
 
@@ -207,7 +207,7 @@ class TextEncoder:
     def embed_class_name(self, class_name: str) -> np.ndarray:
         """Word-embedding rows of the class-name tokens (no start/end)."""
         if not class_name.strip():
-            raise InputError("empty class name")
+            raise DataError("empty class name")
         tok = self.tokenizer
         words = tok.words_of(class_name.replace("_", " "))
         return self.embed_ids([tok.word_id(w) for w in words])
@@ -218,7 +218,7 @@ class TextEncoder:
         name, shape (L, C, d); cached per (templates, class names).
 
         A rendered template the tokenizer would cut short raises
-        ``TemplateError``: the cut drops the class name, which comes last.
+        ``ConfigError``: the cut drops the class name, which comes last.
         """
         key = (tuple(templates), tuple(class_names))
         cached = self._anchor_cache.get(key)
@@ -230,7 +230,7 @@ class TextEncoder:
             for name in class_names:
                 words = tok.words_of(render_template(template, name))
                 if len(words) > tok.max_len - 2:
-                    raise TemplateError(
+                    raise ConfigError(
                         f"template {template!r} with class {name!r} has "
                         f"{len(words)} words; at most {tok.max_len - 2} fit "
                         f"in {tok.max_len} tokens")
@@ -271,13 +271,13 @@ class TextEncoder:
         count).
         """
         if x.data.ndim < 3:
-            raise InputError(f"expected (..., S, d_tok) embeddings, got {x.shape}")
+            raise DataError(f"expected (..., S, d_tok) embeddings, got {x.shape}")
         *lead, s, d_tok = x.shape
         if s > self.cfg.max_len:
-            raise InputError(f"sequence length {s} exceeds max {self.cfg.max_len}")
+            raise DataError(f"sequence length {s} exceeds max {self.cfg.max_len}")
         if s < 2:
-            raise InputError(f"sequence length {s}: a sequence holds at least "
-                             f"its start and end tokens")
+            raise DataError(f"sequence length {s}: a sequence holds at least "
+                            f"its start and end tokens")
         h = self.trunk.forward(x.reshape(-1, s, d_tok) + self.pos[:s],
                                slice(s - 2, s))
         pooled = h[:, 1, :]              # end token is always last
@@ -327,11 +327,11 @@ class VisionEncoder:
 
     def encode_batch(self, images: Tensor) -> Tensor:
         if images.data.ndim != 4:
-            raise InputError(f"expected (B, h, w, c) images, got {images.shape}")
+            raise DataError(f"expected (B, h, w, c) images, got {images.shape}")
         b, *hwc = images.shape
         if tuple(hwc) != IMAGE_SHAPE:
-            raise InputError(f"images have shape {tuple(hwc)}, "
-                             f"the encoder takes {IMAGE_SHAPE}")
+            raise DataError(f"images have shape {tuple(hwc)}, "
+                            f"the encoder takes {IMAGE_SHAPE}")
         tokens = self._patchify(images) @ self.w_patch
         cls = Tensor(np.broadcast_to(self.cls, (b, 1, self.cfg.d_tok)).copy())
         x = concat([cls, tokens], axis=1) + self.pos

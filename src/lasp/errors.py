@@ -1,28 +1,18 @@
-"""Error taxonomy shared across modules."""
-
-
-class InputError(ValueError):
-    """Caller-supplied value violates an operation's precondition."""
+"""The three lasp errors, one per CLI exit code."""
 
 
 class ConfigError(ValueError):
-    """Invalid configuration value or combination."""
-
-
-class TemplateError(ValueError):
-    """Malformed textual template (e.g. missing placeholder)."""
+    """Invalid configuration value, combination or template (exit 2)."""
 
 
 class DataError(ValueError):
-    """Dataset loading or sampling failure."""
-
-
-class ProtocolError(ValueError):
-    """Evaluation protocol violated (label outside class set, name collision)."""
+    """Bad dataset, file or caller-supplied value: a manifest, an image,
+    a checkpoint, a label outside its class set (exit 3)."""
 
 
 class DivergenceError(RuntimeError):
-    """Training loss or parameter update became non-finite or exploded."""
+    """Training loss or parameter update became non-finite or exploded
+    (exit 4)."""
 
     def __init__(self, step: int, value: float | None,
                  quantity: str = "total loss", terms: str = ""):

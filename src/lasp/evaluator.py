@@ -8,7 +8,7 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .encoders import TAU
-from .errors import InputError, ProtocolError
+from .errors import DataError
 from .losses import (grouped_cosine_scores, template_averaged_probs,
                      unit_rows)
 from .model import PromptedClip
@@ -19,7 +19,7 @@ MODES = ("learned", "zero-shot")
 
 def harmonic_mean(base: float, new: float) -> float:
     if not (0.0 <= base <= 100.0 and 0.0 <= new <= 100.0):
-        raise InputError(f"accuracies must lie in [0, 100], got {base}, {new}")
+        raise DataError(f"accuracies must lie in [0, 100], got {base}, {new}")
     if base + new == 0.0:
         return 0.0
     return 2.0 * base * new / (base + new)
@@ -29,7 +29,7 @@ def _score_matrix(model: PromptedClip, dataset: FewShotDataset,
                   class_names: list[str], mode: str) -> np.ndarray:
     """(B, C) decision scores; argmax row-wise is the prediction."""
     if mode not in MODES:
-        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
+        raise DataError(f"mode must be one of {MODES}, got {mode!r}")
     feats = Tensor(model.frozen_features(dataset))
     with no_grad():
         if mode == "learned":
@@ -48,10 +48,10 @@ def evaluate_split(model: PromptedClip, dataset: FewShotDataset,
     split's classes sit after others (generalized setting).
     """
     if len(dataset) == 0:
-        raise InputError(f"{dataset.split} split has no images")
+        raise DataError(f"{dataset.split} split has no images")
     labels = dataset.labels + label_offset
     if labels.min() < 0 or labels.max() >= len(class_names):
-        raise ProtocolError("dataset label outside the evaluated class set")
+        raise DataError("dataset label outside the evaluated class set")
     scores = _score_matrix(model, dataset, class_names, mode)
     preds = np.argmax(scores, axis=1)
     correct = preds == labels
@@ -107,7 +107,7 @@ def evaluate_generalized(model: PromptedClip, base_test: FewShotDataset,
     split_names = base_names + new_names
     collisions = set(split_names) & set(distractors)
     if collisions:
-        raise ProtocolError(f"distractors collide with split classes: {sorted(collisions)}")
+        raise DataError(f"distractors collide with split classes: {sorted(collisions)}")
 
     def run(cands: list[str], tag: str) -> EvalReport:
         base_acc, pc_b = evaluate_split(model, base_test, cands, mode, 0)
@@ -124,7 +124,7 @@ def centroid_distance_matrix(model: PromptedClip,
                              class_names: list[str]) -> tuple[np.ndarray, float]:
     """Pairwise 1 - cos over group-averaged learned class embeddings."""
     if len(class_names) < 2:
-        raise InputError("need at least two classes")
+        raise DataError("need at least two classes")
     with no_grad():
         rows = model.class_rows(class_names, with_bias=True).data
     cent = unit_rows(unit_rows(rows).mean(axis=0))

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (DegenerateInputError, Tensor, log_softmax,
-                       normalize_rows, softmax)
-from .errors import ConfigError, InputError
+from .autodiff import Tensor, log_softmax, normalize_rows, softmax
+from .errors import ConfigError, DataError
 from .prompts import TemplateBank
 
 LOSS_KINDS = ("ce", "l1", "l2")
@@ -32,11 +31,11 @@ def grouped_cosine_scores(rows: Tensor, f: Tensor) -> Tensor:
 def vl_loss(rows: Tensor, f: Tensor, labels, tau: float) -> Tensor:
     """Batch-mean cross-entropy of images against group-averaged class scores."""
     if np.linalg.norm(f.data, axis=-1).min() < 1e-12:
-        raise DegenerateInputError("zero-norm feature vector")
+        raise DataError("zero-norm feature vector")
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = rows.shape[-2]
     if labels.min() < 0 or labels.max() >= n_classes:
-        raise InputError(f"label out of range [0, {n_classes})")
+        raise DataError(f"label out of range [0, {n_classes})")
     scores = grouped_cosine_scores(rows, f)               # (B, C)
     logp = log_softmax(scores * (1.0 / tau), axis=-1)
     onehot = np.zeros(logp.shape)
@@ -72,7 +71,7 @@ def tt_loss(anchors: np.ndarray, rows: Tensor, tau: float,
         raise ConfigError(f"unknown loss kind {kind!r}")
     c_base = rows.shape[0]
     if anchors.shape[1] < c_base:
-        raise InputError("anchor class set smaller than learnable class set")
+        raise DataError("anchor class set smaller than learnable class set")
     if kind == "ce":
         probs = template_averaged_probs(anchors, rows, tau)
         eye = np.eye(c_base, anchors.shape[1])

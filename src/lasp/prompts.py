@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 
 from .autodiff import Tensor, concat, stack
-from .errors import ConfigError, InputError, TemplateError
+from .errors import ConfigError, DataError
 
 PLACEHOLDER = "{}"
 
@@ -68,7 +68,7 @@ class TemplateBank:
     def __post_init__(self):
         for t in self.templates:
             if t.count(PLACEHOLDER) != 1:
-                raise TemplateError(f"template needs exactly one {PLACEHOLDER!r}: {t!r}")
+                raise ConfigError(f"template needs exactly one {PLACEHOLDER!r}: {t!r}")
         if not self.group_of:
             self.group_of = [0] * len(self.templates)
 
@@ -105,7 +105,7 @@ def load_template_bank(source: str) -> TemplateBank:
 
 def render_template(template: str, class_name: str) -> str:
     if template.count(PLACEHOLDER) != 1:
-        raise TemplateError(f"template needs exactly one {PLACEHOLDER!r}: {template!r}")
+        raise ConfigError(f"template needs exactly one {PLACEHOLDER!r}: {template!r}")
     return template.replace(PLACEHOLDER, class_name.replace("_", " "))
 
 
@@ -157,7 +157,7 @@ class ClassVocabulary:
         union = self.base_names + self.virtual_names
         if len(set(union)) != len(union):
             dupes = sorted({n for n in union if union.count(n) > 1})
-            raise InputError(f"duplicate class names: {dupes}")
+            raise DataError(f"duplicate class names: {dupes}")
 
     @property
     def all_names(self) -> list[str]:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from lasp.cli import (DEFAULTS, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE,
-                      RunContext, main, parse_config_text, resolve_config)
+                      RunContext, main, parse_config_text, resolve_config,
+                      run_reporting_errors)
 from lasp.encoders import EncoderConfig, VisionEncoder
 from lasp.data import (SyntheticDatasetSpec, _class_word_pool, load_dataset,
                        load_manifest, write_image_npt)
-from lasp.errors import ConfigError, DataError
+from lasp.errors import ConfigError, DataError, DivergenceError
 from lasp.prompts import init_prompts
 from lasp.serialization import load_tensors, save_tensors
 from lasp.trainer import TrainConfig
@@ -53,6 +54,27 @@ def test_resolve_config_unknown_key():
 def test_resolve_config_missing_file():
     with pytest.raises(DataError):
         resolve_config("/nonexistent/path.cfg", [], None)
+
+
+@pytest.mark.parametrize("error, code", [
+    pytest.param(ConfigError("bad key"), EXIT_USAGE, id="ConfigError"),
+    pytest.param(DataError("bad file"), EXIT_DATA, id="DataError"),
+    pytest.param(DivergenceError(3, float("nan")), EXIT_DIVERGENCE,
+                 id="DivergenceError"),
+])
+def test_each_lasp_error_exits_with_its_code(capsys, error, code):
+    def command():
+        raise error
+    assert run_reporting_errors(command) == code
+    err = capsys.readouterr().err
+    assert err == f"error: {error}\n"
+
+
+def test_lasp_errors_are_the_three_the_cli_reports():
+    import lasp.errors
+    classes = {name for name, v in vars(lasp.errors).items()
+               if isinstance(v, type) and issubclass(v, BaseException)}
+    assert classes == {"ConfigError", "DataError", "DivergenceError"}
 
 
 # -- commands ------------------------------------------------------------------
@@ -205,6 +227,8 @@ def test_eval_non_finite_checkpoint_is_data_error(tmp_path, capsys):
                  id="train-shots-above-samples_per_class"),
     pytest.param("train", "m_prompts=30", "m_prompts=30 leaves no room",
                  id="train-m_prompts-above-max_len"),
+    pytest.param("eval", "virtual=zz,yy,zz", "virtual lists 'zz' more than once",
+                 id="eval-virtual-repeated"),
 ])
 def test_bad_choice_key_exits_2_before_fixture(tmp_path, capsys, monkeypatch,
                                               command, setting, message):
@@ -591,6 +615,10 @@ def test_bad_manifest_exits_3(tmp_path, capsys):
         "return-name": ({"base_classes": ["a"], "new_classes": ["b\rc"],
                          "images": {"a": ok, "b\rc": ok}},
                         "class name 'b\\rc' holds a comma or a line break"),
+        # scored as a class of its own, it would skew accuracy
+        "repeated-class": ({"base_classes": ["a"], "new_classes": ["b", "c", "b"],
+                            "images": {"a": ok, "b": ok, "c": ok}},
+                           "new_classes lists class 'b' more than once"),
     }
     cases = [("/missing/manifest.json", "cannot read manifest")]
     for name, (doc, message) in docs.items():

@@ -122,6 +122,10 @@ def test_manifest_validation(tmp_path):
     with pytest.raises(DataError):
         load_manifest(write_manifest(tmp_path, empty))
 
+    repeated = dict(ok, base_classes=["a", "a"])
+    with pytest.raises(DataError, match="base_classes lists class 'a' more"):
+        load_manifest(write_manifest(tmp_path, repeated))
+
     no_new = {k: v for k, v in ok.items() if k != "new_classes"}
     with pytest.raises(DataError, match="new_classes"):
         load_manifest(write_manifest(tmp_path, no_new))

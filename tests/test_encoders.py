@@ -9,7 +9,7 @@ import lasp.encoders
 from lasp.autodiff import Tensor, concat, layer_norm, transformer_block
 from lasp.encoders import (EncoderConfig, TextEncoder, VisionEncoder,
                            trainable_parameters)
-from lasp.errors import ConfigError, InputError
+from lasp.errors import ConfigError, DataError
 from lasp.prompts import init_prompts
 from test_trainer import tiny_data, tiny_setup
 
@@ -47,14 +47,14 @@ def test_text_encoder_pools_last_position(small_enc):
 
 def test_text_encoder_rejects_overlong(small_enc):
     te = TextEncoder(small_enc)
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         te.encode_batch(Tensor(np.zeros((1, small_enc.max_len + 1,
                                          small_enc.d_tok))))
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         te.encode_batch(Tensor(np.zeros((4, small_enc.d_tok))))
-    with pytest.raises(InputError, match="sequence length 1"):
+    with pytest.raises(DataError, match="sequence length 1"):
         te.encode_batch(Tensor(np.zeros((4, 1, small_enc.d_tok))))
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         te.encode_batch(Tensor(np.zeros((2, 1, small_enc.max_len + 1,
                                          small_enc.d_tok))))
 
@@ -63,7 +63,7 @@ def test_embed_class_name_splits_words(small_enc):
     te = TextEncoder(small_enc)
     two = te.embed_class_name("palm_tree")
     assert two.shape == (2, small_enc.d_tok)
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         te.embed_class_name("   ")
 
 
@@ -81,9 +81,9 @@ def test_vision_encoder_shapes(small_enc):
 def test_vision_encoder_rejects_bad_dims(small_enc):
     ve = VisionEncoder(small_enc)
     for hwc in [(15, 15, 3), (8, 8, 3), (32, 32, 3), (16, 16, 1)]:
-        with pytest.raises(InputError, match=r"the encoder takes \(16, 16, 3\)"):
+        with pytest.raises(DataError, match=r"the encoder takes \(16, 16, 3\)"):
             ve.encode_batch(Tensor(np.zeros((1, *hwc))))
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         ve.encode_batch(Tensor(np.zeros((16, 16, 3))))
 
 

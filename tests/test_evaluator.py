@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lasp.encoders import EncoderConfig, VisionEncoder
-from lasp.errors import InputError, ProtocolError
+from lasp.errors import DataError
 from lasp.evaluator import (MODES, EvalReport, centroid_distance_matrix,
                             evaluate_generalized, evaluate_split,
                             evaluate_standard, harmonic_mean)
@@ -31,9 +31,9 @@ def test_harmonic_mean_properties(b, n):
 
 
 def test_harmonic_mean_rejects_out_of_range():
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         harmonic_mean(-1.0, 50.0)
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         harmonic_mean(50.0, 101.0)
 
 
@@ -63,12 +63,12 @@ def test_evaluate_split_in_both_modes(eval_model):
 
 def test_evaluate_split_rejects_bad_mode_and_empty(eval_model):
     ds = split_for(["oak"])
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         evaluate_split(eval_model, ds, ["oak"], mode="projected")
-    with pytest.raises(ProtocolError):
+    with pytest.raises(DataError):
         evaluate_split(eval_model, ds, [])
     empty = FewShotDataset(ds.images[:0], ds.labels[:0], "base-test")
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         evaluate_split(eval_model, empty, ["oak"])
 
 
@@ -85,7 +85,7 @@ def test_evaluate_split_accuracy_range_and_per_class(eval_model):
 def test_evaluate_split_label_offset_guard(eval_model):
     names = ["oak", "rocket"]
     ds = split_for(names)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(DataError):
         evaluate_split(eval_model, ds, names, label_offset=1)
 
 
@@ -110,7 +110,7 @@ def test_evaluate_generalized_distractors_never_help(eval_model):
 
 def test_evaluate_generalized_rejects_collisions(eval_model):
     base, new = ["oak"], ["violet"]
-    with pytest.raises(ProtocolError):
+    with pytest.raises(DataError):
         evaluate_generalized(eval_model, split_for(base), split_for(new),
                              base, new, ["violet"])
 
@@ -155,5 +155,5 @@ def test_centroid_distance_matrix_properties(eval_model):
 
 
 def test_centroid_distance_needs_two_classes(eval_model):
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         centroid_distance_matrix(eval_model, ["oak"])

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lasp.autodiff import DegenerateInputError, Tensor, grad_check
-from lasp.errors import ConfigError, InputError
+from lasp.autodiff import Tensor, grad_check
+from lasp.errors import ConfigError, DataError
 from lasp.losses import (apply_bias_correction, combined_loss,
                          grouped_cosine_scores, grouped_tt_loss,
                          template_averaged_probs, tt_loss, vl_loss)
@@ -80,7 +80,7 @@ def test_grouped_cosine_scores_scale_invariant():
 def test_vl_loss_rejects_zero_feature():
     feats = randn((2, 4), 1)
     feats[1] = 0.0
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DataError):
         vl_loss(Tensor(randn((1, 3, 4), 0)), Tensor(feats), [0, 1], 0.5)
 
 
@@ -114,7 +114,7 @@ def test_tt_loss_gradient(kind, seed):
 def test_tt_loss_validation():
     with pytest.raises(ConfigError):
         tt_loss(randn((1, 3, 4), 0), Tensor(randn((3, 4), 1)), 0.5, kind="huber")
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         tt_loss(randn((1, 2, 4), 0), Tensor(randn((3, 4), 1)), 0.5)
 
 

@@ -10,7 +10,7 @@ from lasp import autodiff
 from lasp.autodiff import Tensor, grad_check, no_grad
 from lasp.data import SHIFT_TEMPLATE
 from lasp.encoders import IMAGE_SHAPE, TextEncoder, text_tower
-from lasp.errors import DataError, TemplateError
+from lasp.errors import ConfigError, DataError
 from lasp.model import IMAGE_CHUNK, PromptedClip
 from lasp.prompts import (init_prompts, load_template_bank, render_template,
                           split_templates)
@@ -83,11 +83,11 @@ def test_anchors_reject_a_template_that_cuts_the_class_name(small_enc):
     assert te.anchors(fits, ["oak"]).shape == (1, 1, small_enc.d)
     cut = "a photo of {}"
     long = " ".join(["the"] * 14) + " {}"
-    with pytest.raises(TemplateError, match=r"with class 'rocket' has 15 "
-                                            r"words; at most 14 fit"):
+    with pytest.raises(ConfigError, match=r"with class 'rocket' has 15 "
+                                          r"words; at most 14 fit"):
         te.anchors([cut, long], ["rocket"])
     # two-word names count both words
-    with pytest.raises(TemplateError, match="'palm tree' has 15 words"):
+    with pytest.raises(ConfigError, match="'palm tree' has 15 words"):
         te.anchors(fits, ["palm tree"])
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lasp.encoders import TextEncoder
-from lasp.errors import ConfigError, InputError, TemplateError
+from lasp.errors import ConfigError, DataError
 from lasp.prompts import (ClassVocabulary, TemplateBank,
                           assemble_learnable_prompt, generate_random_templates,
                           init_prompts, init_prompts_from_words,
@@ -51,9 +51,9 @@ def test_init_prompts_from_words(small_enc):
 
 
 def test_template_bank_requires_placeholder():
-    with pytest.raises(TemplateError):
+    with pytest.raises(ConfigError):
         TemplateBank(["no placeholder here"])
-    with pytest.raises(TemplateError):
+    with pytest.raises(ConfigError):
         TemplateBank(["two {} holes {}"])
 
 
@@ -75,7 +75,7 @@ def test_unreadable_template_file_is_config_error(tmp_path):
 
 def test_render_template():
     assert render_template("a photo of a {}", "tree_frog") == "a photo of a tree frog"
-    with pytest.raises(TemplateError):
+    with pytest.raises(ConfigError):
         render_template("nothing to fill", "dog")
 
 
@@ -111,9 +111,9 @@ def test_class_vocabulary():
     assert v.all_names == ["cat", "dog", "owl"]
     v2 = v.with_virtual(["fox"])
     assert v2.all_names == ["cat", "dog", "owl", "fox"]
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         ClassVocabulary(["cat", "cat"])
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         v.with_virtual(["dog"])
 
 

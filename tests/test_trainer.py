@@ -12,7 +12,7 @@ import lasp
 from lasp.autodiff import no_grad
 from lasp.data import _class_word_pool
 from lasp.encoders import EncoderConfig
-from lasp.errors import ConfigError, DataError, DivergenceError, InputError
+from lasp.errors import ConfigError, DataError, DivergenceError
 from lasp.model import PromptedClip
 from lasp.prompts import (ClassVocabulary, init_prompts, load_template_bank,
                           split_templates)
@@ -120,7 +120,7 @@ def test_sample_few_shot_insufficient():
 
 
 def test_trainer_rejects_colliding_virtual_class(small_enc):
-    with pytest.raises(InputError):
+    with pytest.raises(DataError):
         tiny_setup(small_enc, virtual_classes=("oak",))
 
 
