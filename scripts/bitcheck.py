@@ -26,7 +26,12 @@ Each line is ``<sha256>  <output>``. The outputs are:
 - text-tower features and input grads of random embeddings at every
   ``(B, S)`` of ``--text-batches`` x ``--text-lengths``;
 - vision-tower features, pixel grads and the 10 LayerNorm-affine grads of
-  random images at each of ``--vision-batches``, with the affines trained.
+  random images at each of ``--vision-batches``, with the affines trained;
+- the three losses of one training step and the grads of the prompt
+  vectors, the shared bias and (when trained) the vision LayerNorm affines,
+  for each loss kind at two step shapes: train-text (G = 3, 10 base and
+  20 virtual names, frozen features of a batch of 16) and train-vision
+  (G = 1, 10 names, 64 images, LayerNorm affines trained).
 
 ``--seed`` and ``--set`` go to both commands; ``--set`` makes a small run
 (``--set n_base=2 --set center_steps=5`` and so on).
@@ -46,12 +51,21 @@ import numpy as np
 
 from lasp.autodiff import Tensor
 from lasp.cli import RunContext, main as lasp_main, resolve_config
+from lasp.data import _class_word_pool
 from lasp.encoders import IMAGE_SHAPE, EncoderConfig, TextEncoder, VisionEncoder
-from lasp.trainer import FewShotDataset, load_checkpoint
+from lasp.losses import LOSS_KINDS
+from lasp.model import PromptedClip
+from lasp.prompts import (ClassVocabulary, init_prompts, load_template_bank,
+                          split_templates)
+from lasp.trainer import (FewShotDataset, TrainConfig, Trainer,
+                          load_checkpoint)
 
 TEXT_BATCHES = (1, 5, 90)
 TEXT_LENGTHS = tuple(range(2, 33))
 VISION_BATCHES = (1, 2, 3, 17, 64, 65)
+# (label, G, virtual names, batch, ln_finetune)
+STEP_SHAPES = (("train-text", 3, 20, 16, False),
+               ("train-vision", 1, 0, 64, True))
 RANDOM_SPLIT = 1000
 
 
@@ -130,6 +144,30 @@ def vision_lines(batches):
             yield sha(t.grad), f"vision/B{b}/{name}-grad"
 
 
+def step_lines(seed: int):
+    enc = EncoderConfig()
+    for label, groups, n_virtual, batch, ln in STEP_SHAPES:
+        names = _class_word_pool()[:10 + n_virtual]
+        for kind in LOSS_KINDS:
+            prompts = init_prompts(groups, 4, enc.d_tok, enc.d, seed)
+            model = PromptedClip(enc, prompts, split_templates(
+                load_template_bank("6"), groups, seed))
+            cfg = TrainConfig(batch_size=batch, groups=groups, ln_finetune=ln,
+                              loss_kind=kind, virtual_classes=tuple(names[10:]))
+            trainer = Trainer(model, ClassVocabulary(names[:10]), cfg)
+            rng = np.random.default_rng(seed)
+            prompts.bias.data[...] = 0.1 * rng.standard_normal(enc.d)
+            x = (rng.random((batch, *IMAGE_SHAPE)) if ln
+                 else rng.standard_normal((batch, enc.d)))
+            losses = trainer._losses(x, rng.integers(0, 10, batch))
+            losses[2].backward()
+            tag = f"step/{label}/{kind}"
+            for name, t in zip(("l_vl", "l_tt", "total"), losses):
+                yield sha(t.data), f"{tag}/{name}"
+            for name, t in trainer.params.items():
+                yield sha(t.grad), f"{tag}/{name}-grad"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -164,6 +202,7 @@ def main(argv=None) -> int:
                              args.set, args.seed)
     lines += text_lines(args.text_batches, args.text_lengths)
     lines += vision_lines(args.vision_batches)
+    lines += step_lines(args.seed)
     for digest, name in lines:
         print(f"{digest}  {name}")
     return 0

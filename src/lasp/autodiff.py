@@ -38,6 +38,15 @@ def no_grad():
         _grad_enabled = prev
 
 
+def _is_basic_index(idx) -> bool:
+    """Whether ``idx`` is numpy basic indexing: ints, slices, None, ``...``."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer))
+                   and not isinstance(p, (bool, np.bool_)))
+               for p in parts)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -192,10 +201,14 @@ class Tensor:
 
     def __getitem__(self, idx) -> "Tensor":
         a = self
+        basic = _is_basic_index(idx)
 
         def bw(g):
             full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
+            if basic:       # ints and slices select each entry at most once
+                full[idx] += g
+            else:           # an index array may repeat an entry
+                np.add.at(full, idx, g)
             a._accum(full)
 
         return self._make(a.data[idx], (a,), bw)
@@ -324,11 +337,13 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = Tensor._lift(x)
     out_data = _log_softmax_data(x.data, axis, "log_softmax")
 
-    def bw(g):
-        soft = np.exp(out_data)
-        x._accum(g - soft * g.sum(axis=axis, keepdims=True))
+    return x._make(out_data, (x,),
+                   lambda g: x._accum(_log_softmax_grad(g, out_data, axis)))
 
-    return x._make(out_data, (x,), bw)
+
+def _log_softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """Input grad of ``out = log_softmax(x)`` given the output grad ``g``."""
+    return g - np.exp(out) * g.sum(axis=axis, keepdims=True)
 
 
 def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
@@ -345,11 +360,44 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
                    lambda g: x._accum(_softmax_grad(g, out_data, axis)))
 
 
-def normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """L2-normalize along the last axis."""
+NORM_EPS = 1e-12
+
+
+def _normalize_rows_data(x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """``x`` over its last axis scaled to unit length, ``x * (sum(x*x) +
+    NORM_EPS) ** -0.5``, and what its backward needs; the composite chain's
+    expressions in its order."""
+    se = (x * x).sum(axis=-1, keepdims=True) + NORM_EPS
+    r = se ** -0.5
+    return x * r, (se, r)
+
+
+def _normalize_rows_grad(g: np.ndarray, x: np.ndarray, saved: tuple
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The input grad of a ``_normalize_rows_data`` output as the chain's
+    two terms: ``g * r`` from the outer product, and ``t``, which each
+    factor of ``x * x`` adds once (see ``_accum_normalize_terms``)."""
+    se, r = saved
+    gr = _unbroadcast(g * x, r.shape)
+    return g * r, gr * -0.5 * se ** -1.5 * x
+
+
+def _accum_normalize_terms(x: Tensor, terms: tuple[np.ndarray, np.ndarray]):
+    """Accumulate ``_normalize_rows_grad``'s terms into ``x`` as the chain
+    does: ``g * r``, then ``t`` twice."""
+    gx, t = terms
+    x._accum(gx)
+    x._accum(t)
+    x._accum(t)
+
+
+def normalize_rows(x: Tensor) -> Tensor:
+    """L2-normalize along the last axis (eps ``NORM_EPS`` under the square
+    root), as one node with the composite chain's bits."""
     x = Tensor._lift(x)
-    sq = (x * x).sum(axis=-1, keepdims=True)
-    return x * (sq + eps).pow(-0.5)
+    out_data, saved = _normalize_rows_data(x.data)
+    return Tensor._make(out_data, (x,), lambda g: _accum_normalize_terms(
+        x, _normalize_rows_grad(g, x.data, saved)))
 
 
 LN_EPS = 1e-5
@@ -371,10 +419,14 @@ def _layer_norm_data(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
     k = np.asarray(1.0 / x.shape[-1])
     mu = x.sum(axis=-1, keepdims=True) * k
     c = x + -mu
-    var = (c * c).sum(axis=-1, keepdims=True) * k
+    sq = c * c
+    var = sq.sum(axis=-1, keepdims=True) * k
     ve = var + LN_EPS
     r = ve ** -0.5
-    return c * r * gain + bias, (k, c, ve, r)
+    cr = np.multiply(c, r, out=sq)      # sq is dead: reuse its buffer
+    out = cr * gain
+    out += bias
+    return out, (k, c, ve, r)
 
 
 def _layer_norm_grad(g: np.ndarray, gain: Tensor, bias: Tensor, saved: tuple,
@@ -386,16 +438,21 @@ def _layer_norm_grad(g: np.ndarray, gain: Tensor, bias: Tensor, saved: tuple,
     if _tracked(bias):
         bias._accum(_unbroadcast(g, bias.data.shape))
     if _tracked(gain):
+        # ``c * r`` is recomputed, not kept from the forward: one multiply
+        # here costs less than one more kept (..., D) array per LayerNorm
         gain._accum(_unbroadcast(g * (c * r), gain.data.shape))
     if not want_x:
         return None
-    gx = g * gain.data
-    gr = _unbroadcast(gx * c, r.shape)
-    gsq = gr * -0.5 * ve ** -1.5 * k
-    gc = gx * r
-    gc = gc + gsq * c
-    gc = gc + gsq * c
-    return gc, np.broadcast_to(-_unbroadcast(gc, r.shape) * k, c.shape)
+    gc = g * gain.data
+    t = gc * c
+    gsq = _unbroadcast(t, r.shape) * -0.5 * ve ** -1.5 * k
+    gc *= r
+    np.multiply(gsq, c, out=t)
+    gc += t                         # the chain adds gsq * c once per factor
+    gc += t
+    mean = -_unbroadcast(gc, r.shape)
+    mean *= k
+    return gc, np.broadcast_to(mean, c.shape)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -492,20 +549,27 @@ def transformer_block(x: Tensor, w: Mapping[str, Tensor], n_heads: int,
     if not taped:
         del q, k, kt, p, v
     ln2, ln2_saved = _layer_norm_data(a, ln2_g.data, ln2_b.data)
-    act = np.tanh(ln2 @ w1 + w["b1"].data)
-    out_data = a + (act @ w2 + w["b2"].data)
+    act = ln2 @ w1
+    act += w["b1"].data
+    np.tanh(act, out=act)
+    out_data = act @ w2
+    out_data += w["b2"].data
+    out_data += a                   # a + (act @ w2 + b2)
 
     def bw(g):
         want_x = _tracked(x)
         want_a = want_x or _tracked(ln1_g) or _tracked(ln1_b)
         # feed-forward half, down to the grad of ``a``
         gh = (pad(g) @ np.swapaxes(w2, -1, -2))[:, rows]
-        gh = gh * (1.0 - act * act)
+        dact = act * act
+        np.subtract(1.0, dact, out=dact)
+        gh *= dact
         terms = _layer_norm_grad(gh @ np.swapaxes(w1, -1, -2), ln2_g, ln2_b,
                                  ln2_saved, want_a)
         if not want_a:
             return
-        ga = (g + terms[0]) + terms[1]
+        ga = g + terms[0]
+        ga += terms[1]
         # attention half: mixed values, scores, then q, k, v back to LN1
         gm = (ga @ np.swapaxes(wo, -1, -2)).reshape(b, n, h, dh)
         gm = gm.transpose(0, 2, 1, 3)
@@ -514,8 +578,8 @@ def transformer_block(x: Tensor, w: Mapping[str, Tensor], n_heads: int,
         gq = gs @ np.swapaxes(kt, -1, -2)
         gk = (np.swapaxes(q, -1, -2) @ gs).transpose(0, 1, 3, 2)
         gln1 = pad(merge(gq) @ np.swapaxes(wq, -1, -2))
-        gln1 = gln1 + merge(gk) @ np.swapaxes(wk, -1, -2)
-        gln1 = gln1 + merge(gv) @ np.swapaxes(wv, -1, -2)
+        gln1 += merge(gk) @ np.swapaxes(wk, -1, -2)
+        gln1 += merge(gv) @ np.swapaxes(wv, -1, -2)
         terms = _layer_norm_grad(gln1, ln1_g, ln1_b, ln1_saved, want_x)
         if want_x:
             x._accum(pad(ga))

@@ -111,6 +111,22 @@ def _weight(rng, shape):
     return rng.normal(0.0, WEIGHT_GAIN / math.sqrt(shape[0]), size=shape)
 
 
+def pool_project(h: Tensor, row: int, lead: tuple, proj: Tensor) -> Tensor:
+    """``h[:, row, :].reshape(*lead, D) @ proj`` as one node: the pooled
+    rows of a (N, rows, D) trunk output, given back their leading shape and
+    projected by the frozen ``proj``. Forward and backward are the getitem,
+    reshape and matmul nodes' expressions, so its bits are theirs."""
+    pooled = h.data[:, row, :].reshape(*lead, h.shape[-1])
+
+    def bw(g):
+        full = np.zeros_like(h.data)
+        full[:, row, :] += (g @ np.swapaxes(proj.data, -1, -2)).reshape(
+            len(full), -1)
+        h._accum(full)
+
+    return Tensor._make(pooled @ proj.data, (h,), bw)
+
+
 class _Transformer:
     """Shared pre-LN transformer stack over (B, S, D) inputs; each block is
     one tape node (``autodiff.transformer_block``). Only the pooled row's
@@ -280,8 +296,7 @@ class TextEncoder:
                             f"its start and end tokens")
         h = self.trunk.forward(x.reshape(-1, s, d_tok) + self.pos[:s],
                                slice(s - 2, s))
-        pooled = h[:, 1, :]              # end token is always last
-        return pooled.reshape(*lead, d_tok) @ self.proj
+        return pool_project(h, 1, lead, self.proj)  # end token is last
 
 
 @functools.cache
@@ -336,7 +351,7 @@ class VisionEncoder:
         cls = Tensor(np.broadcast_to(self.cls, (b, 1, self.cfg.d_tok)).copy())
         x = concat([cls, tokens], axis=1) + self.pos
         x = self.trunk.forward(x, slice(0, 2))
-        return x[:, 0, :] @ self.proj    # class token is first
+        return pool_project(x, 0, (b,), self.proj)  # class token is first
 
 
 def trainable_parameters(prompt_set, vision_encoder: VisionEncoder,

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .autodiff import NumericError, Tensor, concat, no_grad, stack
+from .autodiff import NumericError, Tensor, concat, no_grad
 from .encoders import EncoderConfig, VisionEncoder, text_tower
 from .errors import DataError
 from .losses import apply_bias_correction
@@ -44,18 +44,16 @@ class PromptedClip:
     def class_rows(self, class_names: list[str], with_bias: bool = True) -> Tensor:
         """Learnable-prompt class features, shape (G, C, d), grad-connected.
 
-        One text-tower pass per token length covers all G groups: their
-        assembled (C_len, S, d_tok) batches are stacked into one
-        (G, C_len, S, d_tok) batch.
+        One text-tower pass per token length covers all G groups: the
+        assembled (G, C_len, S, d_tok) batch of every group's sequences.
+        Names of one length need no concat and no reordering.
         """
         frames, restore = self.text_encoder.name_frames(class_names)
-        contexts = [self.prompt_set.vectors[g]
-                    for g in range(self.prompt_set.groups)]
-        outs = [self.text_encoder.encode_batch(stack(
-                    [assemble_learnable_prompt(context, frame)
-                     for context in contexts]))
+        outs = [self.text_encoder.encode_batch(
+                    assemble_learnable_prompt(self.prompt_set.vectors, frame))
                 for frame in frames]
-        rows = concat(outs, axis=1)[:, restore]
+        # one bucket holds every name in input order
+        rows = outs[0] if len(outs) == 1 else concat(outs, axis=1)[:, restore]
         if with_bias:
             rows = apply_bias_correction(rows, self.prompt_set.bias)
         return rows

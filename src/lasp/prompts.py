@@ -7,7 +7,7 @@ from importlib import resources
 
 import numpy as np
 
-from .autodiff import Tensor, concat, stack
+from .autodiff import Tensor
 from .errors import ConfigError, DataError
 
 PLACEHOLDER = "{}"
@@ -169,9 +169,26 @@ class ClassVocabulary:
 
 
 def assemble_learnable_prompt(context: Tensor, frame: np.ndarray) -> Tensor:
-    """The (C, S, d_tok) batch of [start, p_1^g..p_M^g, class tokens, end]
-    sequences, gradient-connected to ``context`` (one group's (M, d_tok)
-    prompt vectors). ``frame`` holds the C constant [start, class tokens,
-    end] rows, shape (C, S - M, d_tok)."""
-    return concat([frame[:, :1], stack([context] * len(frame)), frame[:, 1:]],
-                  axis=1)
+    """The (..., C, S, d_tok) batch of [start, p_1^g..p_M^g, class tokens,
+    end] sequences, gradient-connected to ``context``: one group's (M, d_tok)
+    prompt vectors, or every group's (G, M, d_tok). ``frame`` holds the C
+    constant [start, class tokens, end] rows, shape (C, S - M, d_tok).
+
+    One tape node. Its backward adds each class's prompt-slot grad in class
+    order, as the concat of C stacked copies of the context did, so
+    ``context`` gets that chain's grad bit for bit.
+    """
+    *lead, m, d = context.shape
+    n, rest, _ = frame.shape
+    out = np.empty((*lead, n, rest + m, d))
+    out[..., :1, :] = frame[:, :1]
+    out[..., 1:1 + m, :] = context.data[..., None, :, :]
+    out[..., 1 + m:, :] = frame[:, 1:]
+
+    def bw(g):
+        grad = np.zeros_like(context.data)
+        for c in range(n):
+            grad += g[..., c, 1:1 + m, :]
+        context._accum(grad)
+
+    return Tensor._make(out, (context,), bw)

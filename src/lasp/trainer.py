@@ -171,8 +171,9 @@ class Trainer:
         rows_all_raw = model.class_rows(self.vocabulary.all_names,
                                         with_bias=False)
         nb = len(base)
-        rows_base = apply_bias_correction(rows_all_raw[:, :nb, :],
-                                          model.prompt_set.bias)
+        rows_base = (rows_all_raw if nb == rows_all_raw.shape[1]
+                     else rows_all_raw[:, :nb, :])
+        rows_base = apply_bias_correction(rows_base, model.prompt_set.bias)
         l_vl = None
         if cfg.alpha_vl != 0.0:
             if np.ndim(images) != 2:

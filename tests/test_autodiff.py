@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from lasp.autodiff import (NumericError, ShapeError, Tensor, concat,
                            grad_check, layer_norm, log_softmax, no_grad,
                            normalize_rows, softmax, stack, transformer_block)
-from lasp.encoders import EncoderConfig, _Transformer
+from lasp.data import _class_word_pool
+from lasp.encoders import (IMAGE_SHAPE, TAU, EncoderConfig, VisionEncoder,
+                           _Transformer, pool_project)
+from lasp.losses import (combined_loss, grouped_cosine_scores,
+                         grouped_tt_loss, template_averaged_probs, unit_rows,
+                         vl_loss)
+from lasp.model import PromptedClip
+from lasp.prompts import (TemplateBank, assemble_learnable_prompt,
+                          init_prompts, load_template_bank, split_templates)
 
 arrays = st.integers(0, 2**32 - 1).map(
     lambda s: np.random.default_rng(s).standard_normal((3, 4)))
@@ -93,15 +101,68 @@ def composite_softmax(x, axis=-1):
     return log_softmax(x, axis=axis).exp()
 
 
-@pytest.mark.parametrize("fused, composite", [
-    (lambda x, g, b: layer_norm(x, g, b), composite_layer_norm),
-    (lambda x, g, b: softmax(x * g + b), lambda x, g, b: composite_softmax(x * g + b)),
-])
-def test_fused_op_equals_composite_chain_bitwise(fused, composite):
+def composite_normalize_rows(x, eps=1e-12):
+    sq = (x * x).sum(axis=-1, keepdims=True)
+    return x * (sq + eps).pow(-0.5)
+
+
+def composite_vl_loss(rows, f, labels, tau):
+    cos = (composite_normalize_rows(f)
+           @ composite_normalize_rows(rows).transpose(0, 2, 1))
+    logp = log_softmax(cos.mean(axis=0) * (1.0 / tau), axis=-1)
+    onehot = np.zeros(logp.shape)
+    onehot[np.arange(labels.size), labels] = 1.0
+    return -(logp * Tensor(onehot)).sum() * (1.0 / labels.size)
+
+
+def composite_grouped_tt_loss(anchors, rows, bank, tau):
+    c_base = rows.shape[1]
+    eye = Tensor(np.eye(c_base, anchors.shape[1]))
+    total = None
+    for g in range(bank.groups):
+        an = unit_rows(anchors[bank.indices_of_group(g)])
+        cos = composite_normalize_rows(rows[g]) @ Tensor(an).transpose(0, 2, 1)
+        probs = composite_softmax(cos * (1.0 / tau)).mean(axis=0)
+        part = -(probs.log() * eye).sum() * (1.0 / c_base)
+        total = part if total is None else total + part
+    return total
+
+
+def composite_class_rows(model, names):
+    te, vectors = model.text_encoder, model.prompt_set.vectors
+    frames, restore = te.name_frames(names)
+    outs = []
+    for frame in frames:
+        batch = stack([concat([frame[:, :1], stack([vectors[g]] * len(frame)),
+                               frame[:, 1:]], axis=1)
+                       for g in range(model.prompt_set.groups)])
+        *lead, s, d = batch.shape
+        h = te.trunk.forward(batch.reshape(-1, s, d) + te.pos[:s],
+                             slice(s - 2, s))
+        outs.append(h[:, 1, :].reshape(*lead, d) @ te.proj)
+    return concat(outs, axis=1)[:, restore]
+
+
+def composite_encode_images(ve, images):
+    b = images.shape[0]
+    cls = Tensor(np.broadcast_to(ve.cls, (b, 1, ve.cfg.d_tok)).copy())
+    x = concat([cls, ve._patchify(images) @ ve.w_patch], axis=1) + ve.pos
+    return ve.trunk.forward(x, slice(0, 2))[:, 0, :] @ ve.proj
+
+
+def same_bits(got, want) -> bool:
+    return (got is None and want is None) or (
+        got is not None and want is not None and got.shape == want.shape
+        and got.tobytes() == want.tobytes())
+
+
+def fused_and_composite(fused, composite, shape):
+    """Output and input grads of ``fused`` and of ``composite`` on an
+    interior input that also feeds a residual add."""
     rng = np.random.default_rng(0)
-    data = [rng.standard_normal((3, 4, 6)), rng.standard_normal(6),
-            rng.standard_normal(6)]
-    w = rng.standard_normal((3, 4, 6))
+    data = [rng.standard_normal(shape), rng.standard_normal(shape[-1]),
+            rng.standard_normal(shape[-1])]
+    w = rng.standard_normal(shape)
     results = []
     for op in (fused, composite):
         x, g, b = (Tensor(d.copy(), requires_grad=True) for d in data)
@@ -109,8 +170,164 @@ def test_fused_op_equals_composite_chain_bitwise(fused, composite):
         out = op(h, g, b)
         ((h + out).tanh() * w).sum().backward()   # residual add
         results.append([out.data, x.grad, g.grad, b.grad])
+    return results
+
+
+def fused_normalize_rows(x, g, b):
+    return normalize_rows(x) * g + b
+
+
+def composite_normalize_rows_affine(x, g, b):
+    return composite_normalize_rows(x) * g + b
+
+
+@pytest.mark.parametrize("fused, composite", [
+    (lambda x, g, b: layer_norm(x, g, b), composite_layer_norm),
+    (lambda x, g, b: softmax(x * g + b), lambda x, g, b: composite_softmax(x * g + b)),
+    (fused_normalize_rows, composite_normalize_rows_affine),
+])
+def test_fused_op_equals_composite_chain_bitwise(fused, composite):
+    fused_out, chain = fused_and_composite(fused, composite, (3, 4, 6))
+    for got, want in zip(fused_out, chain):
+        assert same_bits(got, want)
+
+
+# train-text's (G, C, d) class rows and train-vision's (B, d) features
+@pytest.mark.parametrize("shape", [(3, 30, 32), (64, 32)])
+def test_fused_normalize_rows_equals_composite_chain_at_step_shapes_bitwise(
+        shape):
+    fused, chain = fused_and_composite(fused_normalize_rows,
+                                       composite_normalize_rows_affine, shape)
+    for got, want in zip(fused, chain):
+        assert same_bits(got, want)
+
+
+# (G, base names, virtual names, batch, features tracked): a train-text and
+# a train-vision step's loss heads
+HEAD_SHAPES = [(3, 10, 20, 16, False), (1, 10, 0, 64, True)]
+
+
+@pytest.mark.parametrize("heads", ["vl", "tt", "both"])
+@pytest.mark.parametrize("groups, nb, nv, batch, f_tracked", HEAD_SHAPES)
+def test_fused_loss_heads_equal_composite_chains_bitwise(heads, groups, nb, nv,
+                                                         batch, f_tracked):
+    # Both heads read the raw rows, the VL head after the bias shift, so their
+    # grads meet in the raw rows' node as they do in a training step.
+    rng = np.random.default_rng(groups)
+    d, c = 32, nb + nv
+    bank = TemplateBank([f"t {i} {{}}" for i in range(6)],
+                        [i % groups for i in range(6)])
+    anchors = rng.standard_normal((6, c, d))
+    labels = rng.integers(0, nb, batch)
+    data = [rng.standard_normal((groups, c, d)), 0.3 * rng.standard_normal(d),
+            5.0 * rng.standard_normal((batch, d))]
+    results = []
+    for vl, tt in ((vl_loss, grouped_tt_loss),
+                   (composite_vl_loss, composite_grouped_tt_loss)):
+        leaf, bias, f = (Tensor(x.copy(), requires_grad=True) for x in data)
+        f.requires_grad = f_tracked
+        raw = leaf * 1.5                 # interior, as the text tower's rows
+        # the trainer slices off the virtual rows only if there are any
+        base = raw if vl is vl_loss and nb == c else raw[:, :nb, :]
+        zero = Tensor(0.0)
+        l_vl = vl(base + bias, f * 1.0, labels, TAU) if heads != "tt" else zero
+        l_tt = tt(anchors, raw, bank, TAU) if heads != "vl" else zero
+        total = combined_loss(l_vl, l_tt, 1.0, 20.0)
+        total.backward()
+        results.append([l_vl.data, l_tt.data, total.data, leaf.grad,
+                        bias.grad, f.grad])
     for got, want in zip(*results):
-        assert np.array_equal(got, want)
+        assert same_bits(got, want)
+
+
+def class_row_runs(groups, names):
+    """Class rows and the prompt-vector grad of the fused and the composite
+    glue, given the same weighted-sum loss."""
+    enc = EncoderConfig()
+    bank = split_templates(load_template_bank("6"), groups, 0)
+    prompts = init_prompts(groups, 4, enc.d_tok, enc.d, 0)
+    model = PromptedClip(enc, prompts, bank)
+    w = np.random.default_rng(groups).standard_normal((groups, len(names),
+                                                       enc.d))
+    results = []
+    for rows_of in (lambda: model.class_rows(names, with_bias=False),
+                    lambda: composite_class_rows(model, names)):
+        prompts.vectors.zero_grad()
+        rows = rows_of()
+        (rows.tanh() * w).sum().backward()
+        results.append([rows.data, prompts.vectors.grad])
+    return results
+
+
+@pytest.mark.parametrize("groups, names", [
+    (3, _class_word_pool()[:30]),   # train-text: 10 base + 20 virtual names
+    (1, _class_word_pool()[:10]),   # train-vision
+    # one-, two- and three-token names, interleaved: three length buckets,
+    # then a concat and a reorder
+    (3, ["oak", "palm tree", "rocket", "big red fern", "maple leaf", "moss"]),
+])
+def test_fused_class_row_glue_equals_composite_chain_bitwise(groups, names):
+    fused, chain = class_row_runs(groups, names)
+    assert all(same_bits(a, b) for a, b in zip(fused, chain))
+
+
+def test_fused_image_pooling_equals_composite_chain_bitwise():
+    ve = VisionEncoder(EncoderConfig())
+    ve.set_ln_trainable(True)
+    ln = ve.trunk.ln_params()
+    rng = np.random.default_rng(0)
+    images, w = rng.random((64, *IMAGE_SHAPE)), rng.standard_normal((64, 32))
+    results = []
+    for encode in (ve.encode_batch, lambda x: composite_encode_images(ve, x)):
+        for t in ln:
+            t.zero_grad()
+        x = Tensor(images.copy(), requires_grad=True)
+        out = encode(x)
+        (out.tanh() * w).sum().backward()
+        results.append([out.data, x.grad] + [t.grad for t in ln])
+    assert all(same_bits(a, b) for a, b in zip(*results))
+
+
+def rng_array(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+# Every fused node outside the block, at the existing tolerance; vl_loss,
+# grouped_tt_loss and PromptedClip.class_rows have their own checks.
+@pytest.mark.parametrize("f, shapes", [
+    (lambda x: (normalize_rows(x) * rng_array((2, 3, 5), 1)).sum(),
+     [(2, 3, 5)]),
+    (lambda r, f: (grouped_cosine_scores(r, f) * rng_array((2, 3), 1)).sum(),
+     [(2, 3, 4), (2, 4)]),
+    (lambda x: (template_averaged_probs(rng_array((3, 4, 5), 1), x, 0.5)
+                * rng_array((2, 4), 2)).sum(), [(2, 5)]),
+    (lambda v: (assemble_learnable_prompt(v, rng_array((3, 3, 4), 1))
+                * rng_array((2, 3, 5, 4), 2)).sum(), [(2, 2, 4)]),
+    (lambda h: (pool_project(h, 1, (2, 3), Tensor(rng_array((4, 5), 1)))
+                * rng_array((2, 3, 5), 2)).sum(), [(6, 2, 4)]),
+])
+def test_fused_node_grad_check(f, shapes):
+    report = grad_check(f, [rand(shape, seed=i + 3)
+                            for i, shape in enumerate(shapes)])
+    assert report["passed"], report["max_rel_error"]
+
+
+def test_getitem_repeated_index_accumulates():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    x[[0, 0]].sum().backward()
+    assert x.grad.tolist() == [2.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("idx", [1, slice(1, 3), (slice(None), 2),
+                                 (Ellipsis, slice(0, 4, 2)),
+                                 (1, None, slice(None, None, -1))])
+def test_getitem_basic_index_grad_equals_add_at_bitwise(idx):
+    x = rand((3, 4, 5), seed=1)
+    w = rng_array(x.data[idx].shape, 2)
+    (x[idx] * w).sum().backward()
+    want = np.zeros_like(x.data)
+    np.add.at(want, idx, np.ones_like(w) * w)
+    assert same_bits(x.grad, want)
 
 
 def composite_block(x, w, n_heads):

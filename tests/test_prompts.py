@@ -139,6 +139,17 @@ def test_assemble_learnable_prompt_layout(small_enc):
         assert np.array_equal(batch.data[c, -1], te.embed_ids([END_ID])[0])
 
 
+def test_assemble_learnable_prompt_of_every_group(small_enc):
+    te = TextEncoder(small_enc)
+    ps = init_prompts(2, 3, small_enc.d_tok, small_enc.d, 0)
+    frame = name_frame(te, ["palm tree", "tree frog"])
+    batch = assemble_learnable_prompt(ps.vectors, frame)
+    assert batch.shape == (2, 2, 7, small_enc.d_tok)
+    for g in range(2):
+        one = assemble_learnable_prompt(ps.vectors[g], frame)
+        assert np.array_equal(batch.data[g], one.data)
+
+
 def test_assembled_prompt_grad_reaches_vectors(small_enc):
     te = TextEncoder(small_enc)
     ps = init_prompts(1, 2, small_enc.d_tok, small_enc.d, 0)

@@ -98,9 +98,14 @@ def test_bitcheck_smoke(capsys):
                  "train-ln-loaded/frozen-features/base-test",
                  "anchors/base+new", "text/B2-S2/features",
                  "text/B2-S5/input-grad", "vision/B2/pixel-grad",
-                 "vision/B1/vision.ln_f_b-grad"):
+                 "vision/B1/vision.ln_f_b-grad", "step/train-text/ce/l_vl",
+                 "step/train-text/l1/prompts.vectors-grad",
+                 "step/train-vision/l2/prompts.bias-grad",
+                 "step/train-vision/ce/vision.ln_f_g-grad"):
         assert name in names, name
     assert len([n for n in names if n.startswith("vision/B2/")]) == 12
+    # per loss kind: 3 losses, 2 prompt grads, and 10 LN grads on vision
+    assert len([n for n in names if n.startswith("step/")]) == 3 * (5 + 15)
 
 
 def test_reproduce_ablations_smoke(tmp_path):

@@ -242,21 +242,43 @@ def tape_nodes(root) -> int:
     return len(seen)
 
 
-def test_train_text_step_tape_size():
-    # A train-text-shaped step (default encoder, G = 3, frozen vision
-    # features, 10 base + 20 virtual one-word names, batch 16): one text
-    # pass of two block nodes, plus the losses. Each transformer block was
-    # 26 nodes before it became one, and the step 142.
-    names = _class_word_pool()[:30]
+def step_tape_nodes(groups, n_virtual, batch, ln_finetune) -> int:
+    """Tape nodes of one step's losses: default encoder, 10 base one-word
+    names plus ``n_virtual`` virtual ones, frozen vision features unless
+    ``ln_finetune`` (then images)."""
+    names = _class_word_pool()[:10 + n_virtual]
     enc = EncoderConfig()
-    model = PromptedClip(enc, init_prompts(3, 4, enc.d_tok, enc.d, 0),
-                         split_templates(load_template_bank("6"), 3, 0))
-    cfg = TrainConfig(batch_size=16, groups=3,
+    model = PromptedClip(enc, init_prompts(groups, 4, enc.d_tok, enc.d, 0),
+                         split_templates(load_template_bank("6"), groups, 0))
+    cfg = TrainConfig(batch_size=batch, groups=groups, ln_finetune=ln_finetune,
                       virtual_classes=tuple(names[10:]))
     trainer = Trainer(model, ClassVocabulary(names[:10]), cfg)
-    feats = np.random.default_rng(0).standard_normal((16, enc.d))
-    _, _, total = trainer._losses(feats, np.arange(16) % 10)
-    assert tape_nodes(total) == 92
+    rng = np.random.default_rng(0)
+    x = (rng.random((batch, 16, 16, 3)) if ln_finetune
+         else rng.standard_normal((batch, enc.d)))
+    _, _, total = trainer._losses(x, np.arange(batch) % 10)
+    return tape_nodes(total)
+
+
+def test_train_text_step_tape_size():
+    # A train-text-shaped step (G = 3, 20 virtual names, batch 16): the two
+    # leaves, the prompt assembly, one text pass (reshape, position add, two
+    # block nodes, the final LayerNorm, the pooled projection), the base
+    # slice and bias shift, one node per loss head, and the three nodes of
+    # the weighted sum. History: 142 nodes while each transformer block was
+    # 26 nodes, then 92 while the loss heads and the class-row glue were op
+    # by op.
+    assert step_tape_nodes(3, 20, 16, ln_finetune=False) == 16
+
+
+def test_train_vision_step_tape_size():
+    # A train-vision-shaped step (G = 1, no virtual names, batch 64, vision
+    # LayerNorm affines trained): the train-text step's nodes over one group,
+    # without the base slice (every name is a base name), plus the vision
+    # pass (two block nodes, the final LayerNorm, the pooled projection) and
+    # its ten LayerNorm-affine leaves. History: 72 nodes with the loss heads
+    # and the class-row glue op by op.
+    assert step_tape_nodes(1, 0, 64, ln_finetune=True) == 29
 
 
 def test_fit_without_the_image_term_leaves_the_bias_alone(small_enc):
